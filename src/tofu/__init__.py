@@ -9,13 +9,12 @@ from .fusion import (
     ReduceTrace,
     apply_reduce,
     parse_merge_string,
-    select_method,
     unmerge,
 )
 from .highway import MbmConfig, distribute, highway_block, highway_forward, mbm_mask, update_index
 from .linearity import FlConfig, FlReport, functional_linearity, interpolate, path_length, profile_model
 from .matching import MatchResult, Partition, bipartite_soft_match, partition, similarity_matrix
-from .tensor import gelu, layernorm, matmul, read_ttf, row_norms, softmax_rows, write_ttf
+from .tensor import gelu, layernorm, read_ttf, row_norms, softmax_rows, write_ttf
 from .vit import (
     ARCH_PRESETS,
     BlockWeights,

@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,8 +92,7 @@ def cmd_reduce(args) -> int:
             f"input {x.shape} and metric {metric.shape} must be matching "
             "(B, N, C) or (N, C) tensors")
     method = fusion.MergeMethod(args.method)
-    items = [fusion.apply_reduce(x[i], metric[i], method, args.r,
-                                 protect_cls=args.protect_cls)
+    items = [fusion.apply_reduce(x[i], metric[i], method, args.r)
              for i in range(x.shape[0])]
     reduced = np.stack([it[0] for it in items])
     traces = [_trace_dict(it[1]) for it in items]
@@ -149,16 +147,6 @@ def cmd_flops(args) -> int:
     return 0
 
 
-@dataclass
-class BenchRow:
-    method: str
-    median_ms: float
-    p10_ms: float
-    p90_ms: float
-    tokens_per_s: float
-    images_per_s: float
-
-
 def _bench_spec(method: str, r: int, depth: int) -> fusion.ReduceSpec:
     if method == "full":
         return fusion.ReduceSpec(r=0)
@@ -171,7 +159,8 @@ def _bench_spec(method: str, r: int, depth: int) -> fusion.ReduceSpec:
 def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,
               repeat: int, warmup: int, seed: int, mode: str,
               mbm: highway.MbmConfig) -> dict:
-    """Time full forward passes per method; medians only, never absolutes."""
+    """Time full forward passes per method, interleaving the methods within
+    every repeat; medians only, never absolutes."""
     model = vit.random_model(cfg, seed)
     rng = np.random.default_rng([seed, 1])
     x = rng.standard_normal((batch, cfg.n_tokens, cfg.channels)).astype(FLOAT)
@@ -182,26 +171,30 @@ def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,
         else:
             vit.forward(x, model, spec)
 
-    rows = []
-    for method in methods:
-        spec = _bench_spec(method, r, cfg.depth)
+    specs = [_bench_spec(method, r, cfg.depth) for method in methods]
+    for spec in specs:
         for _ in range(warmup):
             one_pass(spec)
-        times = []
-        for _ in range(repeat):
+    # every repeat times each method once, so drift spreads over all methods
+    times = [[] for _ in methods]
+    for _ in range(repeat):
+        for spec, ts in zip(specs, times):
             t0 = time.perf_counter()
             one_pass(spec)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        median = float(np.median(times))
+            ts.append((time.perf_counter() - t0) * 1000.0)
+
+    rows = []
+    for method, ts in zip(methods, times):
+        median = float(np.median(ts))
         log.info("bench %s: median %.1f ms over %d repeats", method, median, repeat)
-        rows.append(BenchRow(
-            method=method,
-            median_ms=median,
-            p10_ms=float(np.percentile(times, 10)),
-            p90_ms=float(np.percentile(times, 90)),
-            tokens_per_s=batch * cfg.n_tokens / (median / 1000.0),
-            images_per_s=batch / (median / 1000.0),
-        ))
+        rows.append({
+            "method": method,
+            "median_ms": median,
+            "p10_ms": float(np.percentile(ts, 10)),
+            "p90_ms": float(np.percentile(ts, 90)),
+            "tokens_per_s": batch * cfg.n_tokens / (median / 1000.0),
+            "images_per_s": batch / (median / 1000.0),
+        })
     return {
         "config": {
             "vit": cfg.to_dict(),
@@ -213,7 +206,7 @@ def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,
             "mode": mode,
             "mbm": {"enabled": mbm.enabled, "t": mbm.t},
         },
-        "rows": [row.__dict__ for row in rows],
+        "rows": rows,
     }
 
 
@@ -263,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=_METHOD_CHOICES, required=True)
     p.add_argument("--out", required=True, help="output TTF1 path")
     p.add_argument("--trace", help="write the reduce trace as JSON")
-    p.add_argument("--no-protect-cls", dest="protect_cls", action="store_false")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("fl", help="per-layer functional linearity profile")

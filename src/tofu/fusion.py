@@ -13,8 +13,8 @@ global index, then every DST token in ascending global index. A ReduceTrace
 records where each input row went, which is what unmerge and the highway
 path use to restore or redistribute full-length sequences.
 
-The hybrid schedule prunes below a depth threshold d and merges above it;
-arbitrary per-layer schedules are expressed as strings of 'P'/'A'.
+Every schedule is a string of 'P' (prune) and 'A' (late method), one
+character per layer; the hybrid d-threshold spec is compiled into one.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class ReduceSpec:
     r: int = 0
     d: int = 6
     late_method: MergeMethod = MergeMethod.MLERP
-    protect_cls: bool = True
     merge_string: str | None = None  # overrides the d-threshold schedule
 
     def __post_init__(self):
@@ -128,21 +127,19 @@ def merge_mlerp(dst_rows: np.ndarray, src_rows: np.ndarray,
     np.maximum.at(norm_max, idx_dst_local, src_norms)
     mean_norms = np.sqrt((means ** 2).sum(axis=1))
 
+    degenerate = touched & (mean_norms < MLERP_DEGENERATE_EPS)
+    # scale/norm first: merging k copies of v yields factor 1.0 and therefore
+    # v exactly; a degenerate group keeps factor 1.0, i.e. its plain mean
+    scale = np.ones(len(dst_rows))
+    ok = touched & ~degenerate
+    scale[ok] = norm_max[ok] / mean_norms[ok]
     out = dst_rows.copy()
-    degenerate = False
-    for i in np.flatnonzero(touched):
-        if mean_norms[i] < MLERP_DEGENERATE_EPS:
-            out[i] = means[i].astype(FLOAT)
-            degenerate = True
-        else:
-            # scale/norm first: merging k copies of v yields factor 1.0 and
-            # therefore v exactly
-            out[i] = (means[i] * (norm_max[i] / mean_norms[i])).astype(FLOAT)
-    return out, degenerate
+    out[touched] = (means[touched] * scale[touched, None]).astype(FLOAT)
+    return out, bool(degenerate.any())
 
 
 def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
-                 r: int, protect_cls: bool = True) -> tuple[np.ndarray, ReduceTrace]:
+                 r: int) -> tuple[np.ndarray, ReduceTrace]:
     """Reduce an (N, C) token slice to (N - r, C) by fusing matched pairs.
 
     metric supplies the similarity features (same leading length as x).
@@ -157,7 +154,7 @@ def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
         raise ValueError(
             f"metric covers {metric.shape[0]} tokens but x has {x.shape[0]}")
 
-    p = partition(x.shape[0], protect_cls=protect_cls)
+    p = partition(x.shape[0])
     match = bipartite_soft_match(metric, p, r)
 
     selected = np.isin(p.src, match.idx_src)
@@ -199,13 +196,6 @@ def unmerge(reduced: np.ndarray, trace: ReduceTrace) -> np.ndarray:
     return reduced[trace.output_index_of_input]
 
 
-def select_method(layer_index: int, spec: ReduceSpec) -> MergeMethod:
-    """Hybrid dispatch: prune below the depth threshold, merge at and above it."""
-    if layer_index < 0:
-        raise ValueError(f"layer index must be >= 0, got {layer_index}")
-    return MergeMethod.PRUNED if layer_index < spec.d else spec.late_method
-
-
 def parse_merge_string(s: str, late_method: MergeMethod = MergeMethod.AVERAGE,
                        expected_len: int | None = None) -> list[MergeMethod]:
     """Turn a 'P'/'A' schedule string into per-layer methods.
@@ -232,17 +222,21 @@ def parse_merge_string(s: str, late_method: MergeMethod = MergeMethod.AVERAGE,
 
 
 def layer_methods(spec: ReduceSpec, depth: int) -> list[MergeMethod]:
-    """Per-layer dispatch for a depth-L stack, honoring merge_string overrides."""
-    if spec.merge_string is not None:
-        return parse_merge_string(spec.merge_string, spec.late_method, depth)
-    return [select_method(l, spec) for l in range(depth)]
+    """Per-layer methods for a depth-L stack.
+
+    merge_string wins when set; otherwise the hybrid rule prunes the first d
+    layers and applies late_method from layer d on.
+    """
+    s = spec.merge_string
+    if s is None:
+        s = "P" * min(spec.d, depth) + "A" * max(depth - spec.d, 0)
+    return parse_merge_string(s, spec.late_method, depth)
 
 
 def reduce_spec_to_json(spec: ReduceSpec) -> str:
     obj = {
         "r": spec.r,
         "late_method": spec.late_method.value,
-        "protect_cls": spec.protect_cls,
     }
     if spec.merge_string is not None:
         obj["merge_string"] = spec.merge_string
@@ -253,10 +247,7 @@ def reduce_spec_to_json(spec: ReduceSpec) -> str:
 
 def reduce_spec_from_json(text: str) -> ReduceSpec:
     obj = json.loads(text)
-    kwargs = {
-        "r": int(obj.get("r", 0)),
-        "protect_cls": bool(obj.get("protect_cls", True)),
-    }
+    kwargs = {"r": int(obj.get("r", 0))}
     if "late_method" in obj:
         kwargs["late_method"] = MergeMethod(obj["late_method"])
     if "merge_string" in obj:

@@ -75,33 +75,39 @@ def update_index(index: np.ndarray, trace: ReduceTrace) -> np.ndarray:
 
 
 def distribute(f_local: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Scatter local rows to full length: out[i] = f_local[index[i]]."""
+    """Scatter local rows to full length: out[..., i, :] = f_local[..., index[..., i], :].
+
+    Takes one sequence, (M, C) rows with an (N,) index, or a batch, (B, M, C)
+    rows with a (B, N) index.
+    """
     f_local = np.asarray(f_local, dtype=FLOAT)
     index = np.asarray(index, dtype=np.int64)
-    if index.size and (index.min() < 0 or index.max() >= f_local.shape[0]):
+    if index.size and (index.min() < 0 or index.max() >= f_local.shape[-2]):
         raise IndexError(
-            f"dangling local path index (local length {f_local.shape[0]})")
+            f"dangling local path index (local length {f_local.shape[-2]})")
+    if f_local.ndim == 3:
+        # advanced indexing; np.take_along_axis is much slower at these sizes
+        return f_local[np.arange(f_local.shape[0])[:, None], index]
     return f_local[index]
 
 
 def mbm_mask(x_full: np.ndarray, affected: np.ndarray, cfg: MbmConfig) -> np.ndarray:
-    """0/1 mask for a distributed residual.
+    """0/1 mask for a distributed residual, for (N, C) or (B, N, C) x_full.
 
     Zero exactly where the position took part in a merge and the existing
     full-path activation magnitude is at or above the threshold. Disabled
     config (or an infinite threshold) yields all ones.
     """
     x_full = np.asarray(x_full)
-    ones = np.ones(x_full.shape, dtype=FLOAT)
     if not cfg.enabled:
-        return ones
-    hit = np.asarray(affected, dtype=bool)[:, None] & (np.abs(x_full) >= cfg.t)
-    return np.where(hit, FLOAT(0.0), ones)
+        return np.ones(x_full.shape, dtype=FLOAT)
+    hit = np.asarray(affected, dtype=bool)[..., None] & (np.abs(x_full) >= cfg.t)
+    return (~hit).astype(FLOAT)
 
 
 def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
-                  method: MergeMethod, r: int, mbm: MbmConfig = MbmConfig(),
-                  protect_cls: bool = True) -> HighwayState:
+                  method: MergeMethod, r: int, mbm: MbmConfig = MbmConfig()
+                  ) -> HighwayState:
     """One block on the local path, residuals distributed to the full path.
 
     The local set shrinks by r (clamped) before the attention; matching runs
@@ -119,8 +125,7 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
     if r_eff > 0:
         reduced, new_index, new_affected, traces = [], [], [], []
         for i in range(b):
-            x_red, trace = apply_reduce(
-                x_local[i], x_local[i], method, r_eff, protect_cls)
+            x_red, trace = apply_reduce(x_local[i], x_local[i], method, r_eff)
             touched_local = np.zeros(n_local, dtype=bool)
             touched_local[trace.match.idx_src] = True
             touched_local[trace.match.idx_dst] = True
@@ -148,13 +153,11 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
 
 def _distribute_add(x_full: np.ndarray, f_local: np.ndarray, index: np.ndarray,
                     affected: np.ndarray, mbm: MbmConfig) -> np.ndarray:
-    out = np.empty_like(x_full)
-    for i in range(x_full.shape[0]):
-        d = distribute(f_local[i], index[i])
-        if mbm.enabled:
-            d = mbm_mask(x_full[i], affected[i], mbm) * d
-        out[i] = x_full[i] + d
-    return out
+    d = distribute(f_local, index)  # a fresh gather, so safe to update in place
+    if mbm.enabled:
+        d *= mbm_mask(x_full, affected, mbm)
+    d += x_full
+    return d
 
 
 def highway_forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
@@ -168,8 +171,7 @@ def highway_forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
     cfg = model.config
     methods = layer_methods(spec, cfg.depth)
     counts = []
-    for l, w in enumerate(model.blocks):
-        state = highway_block(state, w, cfg.heads, methods[l], spec.r, mbm,
-                              protect_cls=spec.protect_cls)
+    for method, w in zip(methods, model.blocks):
+        state = highway_block(state, w, cfg.heads, method, spec.r, mbm)
         counts.append(state.x_local.shape[1])
     return state.x_full, counts

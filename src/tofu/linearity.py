@@ -168,7 +168,7 @@ def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
             pairs = []
             n = x.shape[1]
             if n >= 2 and cfg.pair_r > 0:
-                p = partition(n, protect_cls=True)
+                p = partition(n)
                 for b in range(x.shape[0]):
                     m = bipartite_soft_match(keys[b], p, cfg.pair_r)
                     for s, d in zip(m.idx_src, m.idx_dst):

@@ -3,8 +3,12 @@
 Tokens are split into two disjoint sets by global index: destinations (DST)
 take the even positions, sources (SRC) the odd ones. Matching keeps, for
 every SRC token, only its single most similar DST partner, then selects the
-r SRC tokens whose best edge scores highest. The class token at position 0
-lands in DST by construction, so it can never be selected as a source.
+r SRC tokens whose best edge scores highest. Nothing protects a class
+token. At position 0 it is a destination, but reduced rows come out as
+[unmatched sources, destinations], so on a sequence that stays reduced
+(before-MLP placement, the highway local path) it is a destination only in
+the first reduce; later reduces find it at another row and may match it as
+a source.
 
 Scores are cosine similarities computed in float64 so that rankings are
 deterministic; ties break toward the lower global SRC index, then the lower
@@ -24,7 +28,6 @@ class Partition:
 
     src: np.ndarray  # odd global indices, ascending
     dst: np.ndarray  # even global indices, ascending
-    protect_cls: bool = False
 
     @property
     def n_tokens(self) -> int:
@@ -47,12 +50,12 @@ class MatchResult:
     clamped: bool = False
 
 
-def partition(n_tokens: int, protect_cls: bool = False) -> Partition:
+def partition(n_tokens: int) -> Partition:
     """Alternating split: even global indices -> DST, odd -> SRC."""
     if n_tokens < 2:
         raise ValueError(f"cannot partition {n_tokens} tokens, need at least 2")
     idx = np.arange(n_tokens)
-    return Partition(src=idx[1::2], dst=idx[0::2], protect_cls=protect_cls)
+    return Partition(src=idx[1::2], dst=idx[0::2])
 
 
 def similarity_matrix(metric: np.ndarray, p: Partition) -> np.ndarray:

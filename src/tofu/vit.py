@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor
 from .fusion import MergeMethod, ReduceSpec, ReduceTrace, apply_reduce, layer_methods, unmerge
-from .tensor import FLOAT, FormatError, ShapeError, TruncatedError, layernorm
+from .tensor import FLOAT, FormatError, ShapeError, TruncatedError, check_finite, layernorm
 
 TFW_MAGIC = b"\x54\x46\x57\x31"
 
@@ -47,6 +47,11 @@ class VitConfig:
     cls_token: bool = True
 
     def __post_init__(self):
+        for name in ("depth", "channels", "heads", "mlp_ratio", "patch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.image < self.patch:
+            raise ValueError(f"image {self.image} is smaller than patch {self.patch}")
         if self.channels % self.heads != 0:
             raise ValueError(
                 f"channels {self.channels} not divisible by heads {self.heads}")
@@ -188,8 +193,7 @@ def token_schedule(n0: int, r: int, depth: int,
 
 
 def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
-                  method: MergeMethod, r: int, placement: ReducePlacement,
-                  layer_index: int = 0, protect_cls: bool = True
+                  method: MergeMethod, r: int, placement: ReducePlacement
                   ) -> tuple[np.ndarray, list[ReduceTrace] | None]:
     """One transformer block with the reduce op at the configured position.
 
@@ -206,7 +210,7 @@ def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
         x_star = x + attn_out
         traces = None
         if r_eff > 0:
-            items = [apply_reduce(x_star[i], keys[i], method, r_eff, protect_cls)
+            items = [apply_reduce(x_star[i], keys[i], method, r_eff)
                      for i in range(b)]
             x_star = np.stack([it[0] for it in items])
             traces = [it[1] for it in items]
@@ -218,8 +222,7 @@ def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
         x_red = x
         if r_eff > 0:
             # generation mode matches on the raw features, not on keys
-            items = [apply_reduce(x[i], x[i], method, r_eff, protect_cls)
-                     for i in range(b)]
+            items = [apply_reduce(x[i], x[i], method, r_eff) for i in range(b)]
             x_red = np.stack([it[0] for it in items])
             traces = [it[1] for it in items]
         attn_out, _ = attention(
@@ -245,9 +248,8 @@ def forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
     cfg = model.config
     methods = layer_methods(spec, cfg.depth)
     counts = []
-    for l, w in enumerate(model.blocks):
-        x, _ = block_forward(x, w, cfg.heads, methods[l], spec.r, placement,
-                             layer_index=l, protect_cls=spec.protect_cls)
+    for method, w in zip(methods, model.blocks):
+        x, _ = block_forward(x, w, cfg.heads, method, spec.r, placement)
         counts.append(x.shape[1])
     if model.head is None:
         return x, counts
@@ -416,7 +418,8 @@ def load_weights(path: str) -> VitModel:
     """Read a TFW1 file back into a model.
 
     Bad magic, truncation (with the byte offset) and tensor/config shape
-    mismatches each raise their own error type.
+    mismatches each raise their own error type; non-finite entries raise
+    ValueError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -446,7 +449,9 @@ def load_weights(path: str) -> VitModel:
         payload = need(4 * n_items, f"payload of {name}")
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(FLOAT)
+        tensors[name] = check_finite(
+            np.frombuffer(payload, dtype="<f4").reshape(dims).astype(FLOAT),
+            f"TFW1 tensor {name!r}")
     (json_len,) = struct.unpack("<I", need(4, "config length"))
     cfg_blob = need(json_len, "config blob")
     if off != len(blob):
@@ -454,7 +459,7 @@ def load_weights(path: str) -> VitModel:
 
     try:
         cfg = VitConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise WeightShapeError(f"invalid TFW1 config blob: {exc}") from exc
 
     shapes = _block_shapes(cfg)
@@ -484,6 +489,11 @@ def load_weights(path: str) -> VitModel:
         if hw.ndim != 2 or hw.shape[0] != c:
             raise WeightShapeError(
                 f"'head.weight' has shape {hw.shape}, expected ({c}, classes)")
+        expected = {"norm.gamma": (c,), "norm.beta": (c,), "head.bias": (hw.shape[1],)}
+        for name, shape in expected.items():
+            if tensors[name].shape != shape:
+                raise WeightShapeError(
+                    f"{name!r} has shape {tensors[name].shape}, expected {shape}")
         head = HeadWeights(
             norm_gamma=tensors["norm.gamma"], norm_beta=tensors["norm.beta"],
             weight=hw, bias=tensors["head.bias"])

@@ -1,5 +1,9 @@
 """Hand-built models with exactly known sub-map behavior."""
 
+import json
+import pathlib
+import struct
+
 import numpy as np
 
 from tofu import vit
@@ -43,3 +47,13 @@ def abs_mlp_model(channels=4, seed=0):
     blk.fc1_weight, blk.fc1_bias = fc1, np.zeros(hid, dtype=np.float32)
     blk.fc2_weight, blk.fc2_bias = fc2, np.zeros(c, dtype=np.float32)
     return model
+
+
+def rewrite_tfw_config(path, config, **changes) -> None:
+    """Replace the config blob that ends a TFW1 file saved for config."""
+    path = pathlib.Path(path)
+    blob = path.read_bytes()
+    old = json.dumps(config.to_dict(), sort_keys=True).encode()
+    assert blob.endswith(old)
+    new = json.dumps(dict(config.to_dict(), **changes), sort_keys=True).encode()
+    path.write_bytes(blob[: -4 - len(old)] + struct.pack("<I", len(new)) + new)

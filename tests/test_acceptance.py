@@ -22,7 +22,6 @@ from tofu.fusion import (
     merge_average,
     merge_mlerp,
     parse_merge_string,
-    select_method,
     unmerge,
 )
 from tofu.highway import MbmConfig
@@ -77,7 +76,7 @@ def test_bsm_oracle_equivalence():
             metric = rng.integers(-2, 3, size=(n, c)).astype(np.float32)
         else:
             metric = rng.standard_normal((n, c)).astype(np.float32)
-        p = partition(n, protect_cls=True)
+        p = partition(n)
         sims = similarity_matrix(metric, p)
 
         for _ in range(8):
@@ -197,11 +196,11 @@ def test_hybrid_dispatch():
         d = len(s) - len(s.lstrip("P"))
         if s == "P" * d + "A" * (depth - d) and 1 <= d <= depth:
             spec = ReduceSpec(r=8, d=d, late_method=MergeMethod.AVERAGE)
-            assert parsed == [select_method(l, spec) for l in range(depth)]
+            assert parsed == layer_methods(spec, depth)
 
     spec_d6 = ReduceSpec(r=8, d=6, late_method=MergeMethod.AVERAGE)
-    assert parse_merge_string("PPPPPPAAAAAA", MergeMethod.AVERAGE) == [
-        select_method(l, spec_d6) for l in range(12)]
+    assert parse_merge_string("PPPPPPAAAAAA", MergeMethod.AVERAGE) == layer_methods(
+        spec_d6, 12)
 
 
 @criterion("Highway matches the naive composition oracle; MBM inf is a no-op")

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from model_fixtures import identity_mlp_model
-from tofu import cli, vit
+from model_fixtures import identity_mlp_model, rewrite_tfw_config
+from tofu import cli, highway, vit
 from tofu.tensor import read_ttf, write_ttf
 
 
@@ -132,6 +132,14 @@ class TestFl:
         run_cli("fl", "--model", wpath, "--tokens", tpath, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_zero_heads_model_is_runtime_error(self, tmp_path, capsys):
+        wpath, tpath = self.make_fixture(tmp_path)
+        rewrite_tfw_config(wpath, identity_mlp_model(depth=2).config, heads=0)
+        assert run_cli("fl", "--model", wpath, "--tokens", tpath) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "heads" in err
+        assert "Traceback" not in err
+
 
 class TestFlops:
     def test_vitb16_full(self, tmp_path, capsys):
@@ -185,6 +193,17 @@ class TestBench:
         cfg = json.loads(out.read_text())["config"]
         assert cfg["mode"] == "highway"
         assert cfg["mbm"] == {"enabled": True, "t": 1.5}
+
+    def test_methods_interleave_across_repeats(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(vit, "forward", lambda x, model, spec: seen.append(spec))
+        cfg = vit.VitConfig(depth=2, channels=8, heads=2, image=32)
+        methods = ["full", "pruned", "mlerp"]
+        cli.run_bench(cfg, methods, r=2, batch=1, repeat=3, warmup=2, seed=0,
+                      mode="normal", mbm=highway.MbmConfig())
+        specs = [cli._bench_spec(m, 2, cfg.depth) for m in methods]
+        warmup = [s for s in specs for _ in range(2)]
+        assert seen == warmup + specs * 3
 
     def test_single_repeat_is_usage_error(self):
         assert run_cli_usage_error("bench", "--arch", "vit-tiny",

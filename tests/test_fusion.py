@@ -119,6 +119,28 @@ class TestMergeKernels:
         assert degenerate
         assert np.allclose(out, [[0.0, 0.0]])
 
+    def test_mlerp_degenerate_and_normal_groups_in_one_call(self):
+        dst = np.array([[1.0, 0.0], [0.0, 4.0], [5.0, 5.0], [1.0, 2.0]],
+                       dtype=np.float32)
+        src = np.array([[-1.0, 0.0], [3.0, 0.0], [2.0, -1.0], [0.5, 0.5]],
+                       dtype=np.float32)
+        idx = np.array([0, 1, 3, 3])
+        out, degenerate = fusion.merge_mlerp(dst, src, idx)
+        assert degenerate
+        # row-by-row float64 form: scale each touched group's mean to its max
+        # norm, or keep the plain mean when the mean cancels
+        expected = dst.copy()
+        for d in (0, 1, 3):
+            group = np.concatenate([dst[d:d + 1], src[idx == d]]).astype(np.float64)
+            mean = group.mean(axis=0)
+            norm = np.sqrt((mean ** 2).sum())
+            if norm >= fusion.MLERP_DEGENERATE_EPS:
+                mean = mean * (np.sqrt((group ** 2).sum(axis=1)).max() / norm)
+            expected[d] = mean.astype(np.float32)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out[0], [0.0, 0.0])
+        assert np.allclose(out[1], [2.4, 3.2], atol=1e-6)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), k=st.integers(1, 6))
     def test_mlerp_preserves_group_max_norm(self, seed, k):
@@ -185,17 +207,21 @@ class TestUnmerge:
 
 
 class TestSchedules:
-    def test_select_method_early_layers_prune(self):
+    def test_layer_methods_early_layers_prune(self):
         spec = ReduceSpec(r=8, d=6, late_method=MergeMethod.AVERAGE)
-        assert fusion.select_method(0, spec) is MergeMethod.PRUNED
-        assert fusion.select_method(5, spec) is MergeMethod.PRUNED
-        assert fusion.select_method(6, spec) is MergeMethod.AVERAGE
+        methods = fusion.layer_methods(spec, 12)
+        assert methods[0] is MergeMethod.PRUNED
+        assert methods[5] is MergeMethod.PRUNED
+        assert methods[6] is MergeMethod.AVERAGE
 
-    def test_select_method_threshold_one(self):
+    def test_layer_methods_threshold_one(self):
         spec = ReduceSpec(r=1, d=1, late_method=MergeMethod.MLERP)
-        assert fusion.select_method(0, spec) is MergeMethod.PRUNED
-        for l in range(1, 12):
-            assert fusion.select_method(l, spec) is MergeMethod.MLERP
+        methods = fusion.layer_methods(spec, 12)
+        assert methods == [MergeMethod.PRUNED] + [MergeMethod.MLERP] * 11
+
+    def test_layer_methods_threshold_beyond_depth_prunes_all(self):
+        spec = ReduceSpec(r=1, d=20, late_method=MergeMethod.MLERP)
+        assert fusion.layer_methods(spec, 12) == [MergeMethod.PRUNED] * 12
 
     def test_parse_canonical_d6(self):
         methods = fusion.parse_merge_string("PPPPPPAAAAAA", MergeMethod.AVERAGE)
@@ -216,12 +242,12 @@ class TestSchedules:
         with pytest.raises(fusion.MergeStringError):
             fusion.parse_merge_string("P" * 13, expected_len=12)
 
-    def test_string_dispatch_matches_select_method(self):
+    def test_string_dispatch_matches_threshold_form(self):
         for d in range(1, 13):
             spec = ReduceSpec(r=8, d=d, late_method=MergeMethod.MLERP)
             s = "P" * d + "A" * (12 - d)
             parsed = fusion.parse_merge_string(s, spec.late_method)
-            assert parsed == [fusion.select_method(l, spec) for l in range(12)]
+            assert parsed == fusion.layer_methods(spec, 12)
 
     def test_layer_methods_uses_merge_string(self):
         spec = ReduceSpec(r=4, merge_string="PAPA",
@@ -246,23 +272,24 @@ class TestSchedules:
 
 class TestSpecJson:
     def test_round_trip_threshold_form(self):
-        spec = ReduceSpec(r=8, d=6, late_method=MergeMethod.MLERP, protect_cls=True)
+        spec = ReduceSpec(r=8, d=6, late_method=MergeMethod.MLERP)
         text = fusion.reduce_spec_to_json(spec)
         assert fusion.reduce_spec_from_json(text) == spec
 
     def test_round_trip_merge_string_form(self):
         spec = ReduceSpec(r=8, merge_string="PPPPPPAAAAAA",
-                          late_method=MergeMethod.AVERAGE, protect_cls=False)
+                          late_method=MergeMethod.AVERAGE)
         text = fusion.reduce_spec_to_json(spec)
         assert '"merge_string"' in text
         assert fusion.reduce_spec_from_json(text) == spec
 
     def test_documented_example_parses(self):
-        spec = fusion.reduce_spec_from_json(
-            '{"r":8,"d":6,"late_method":"mlerp","protect_cls":true}')
+        spec = fusion.reduce_spec_from_json('{"r":8,"d":6,"late_method":"mlerp"}')
         assert spec.r == 8 and spec.d == 6
         assert spec.late_method is MergeMethod.MLERP
-        assert spec.protect_cls
+        # keys this version does not write, such as retired flags, are ignored
+        assert fusion.reduce_spec_from_json(
+            '{"r":8,"d":6,"late_method":"mlerp","unknown":true}') == spec
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

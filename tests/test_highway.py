@@ -76,6 +76,26 @@ class TestDistribute:
         with pytest.raises(IndexError):
             highway.distribute(np.zeros((2, 3), dtype=np.float32),
                                np.array([0, 1, 2]))
+        with pytest.raises(IndexError):
+            highway.distribute(np.zeros((2, 2, 3), dtype=np.float32),
+                               np.array([[0, 1, 0], [1, 2, 0]]))
+
+    def test_batched_distribute_and_mask_equal_per_item_bitwise(self):
+        rng = np.random.default_rng(3)
+        b, m, n, c = 4, 5, 9, 3
+        f = rng.standard_normal((b, m, c)).astype(np.float32)
+        index = rng.integers(0, m, size=(b, n))
+        x_full = rng.standard_normal((b, n, c)).astype(np.float32)
+        affected = rng.random((b, n)) < 0.5
+        out = highway.distribute(f, index)
+        assert np.array_equal(out, np.stack([highway.distribute(f[i], index[i])
+                                             for i in range(b)]))
+        for cfg in (MbmConfig(t=0.7, enabled=True), MbmConfig()):
+            mask = highway.mbm_mask(x_full, affected, cfg)
+            per_item = np.stack([highway.mbm_mask(x_full[i], affected[i], cfg)
+                                 for i in range(b)])
+            assert mask.dtype == np.float32
+            assert mask.tobytes() == per_item.tobytes()
 
 
 class TestMbmMask:

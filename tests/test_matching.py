@@ -39,7 +39,7 @@ def test_partition_is_exact_cover():
 
 
 def test_partition_cls_lands_in_dst():
-    p = matching.partition(10, protect_cls=True)
+    p = matching.partition(10)
     assert 0 in p.dst.tolist()
     assert 0 not in p.src.tolist()
 
@@ -104,7 +104,7 @@ def test_match_scores_non_increasing():
 
 
 def _assert_matches_oracle(metric, r):
-    p = matching.partition(len(metric), protect_cls=True)
+    p = matching.partition(len(metric))
     m = matching.bipartite_soft_match(metric, p, r)
     exp_src, exp_dst, _ = brute_force_match(metric, p.src, p.dst, r)
     assert m.idx_src.tolist() == exp_src
@@ -132,7 +132,7 @@ def test_match_tie_breaks_match_selection_oracle(n, seed):
     # scores and the documented index tie-break is what gets exercised
     rng = np.random.default_rng(seed)
     metric = rng.integers(-2, 3, size=(n, 3)).astype(np.float32)
-    p = matching.partition(n, protect_cls=True)
+    p = matching.partition(n)
     sims = matching.similarity_matrix(metric, p)
     m = matching.bipartite_soft_match(metric, p, n // 2)
     exp_src, exp_dst, _ = brute_force_select(sims, p.src, p.dst, n // 2)
@@ -172,7 +172,7 @@ def test_match_deterministic_across_thread_counts():
 def test_protected_cls_never_a_source(n, seed):
     rng = np.random.default_rng(seed)
     metric = rng.standard_normal((n, 4)).astype(np.float32)
-    p = matching.partition(n, protect_cls=True)
+    p = matching.partition(n)
     m = matching.bipartite_soft_match(metric, p, n // 2)
     assert 0 not in m.idx_src.tolist()
 

@@ -9,36 +9,6 @@ from hypothesis.extra.numpy import arrays
 from tofu import tensor
 
 
-def test_matmul_identity():
-    a = np.array([[1, 2], [3, 4]], dtype=np.float32)
-    assert np.array_equal(tensor.matmul(a, np.eye(2, dtype=np.float32)), a)
-    b = np.array([[2, 3], [4, 5]], dtype=np.float32)
-    assert np.array_equal(tensor.matmul(np.eye(2, dtype=np.float32), b), b)
-
-
-def test_matmul_hand_product():
-    a = np.array([[1, 2], [3, 4]], dtype=np.float32)
-    b = np.array([[5], [6]], dtype=np.float32)
-    assert np.array_equal(tensor.matmul(a, b), np.array([[17], [39]], dtype=np.float32))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(tensor.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        tensor.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    a=arrays(np.float32, (3, 4), elements=st.floats(-5, 5, width=32)),
-    b=arrays(np.float32, (4, 2), elements=st.floats(-5, 5, width=32)),
-    c=arrays(np.float32, (2, 3), elements=st.floats(-5, 5, width=32)),
-)
-def test_matmul_associativity(a, b, c):
-    left = tensor.matmul(tensor.matmul(a, b), c)
-    right = tensor.matmul(a, tensor.matmul(b, c))
-    assert np.allclose(left, right, rtol=1e-4, atol=1e-4)
-
-
 def test_layernorm_constant_row():
     x = np.ones((1, 1, 3), dtype=np.float32)
     out = tensor.layernorm(x, np.ones(3), np.zeros(3))

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from model_fixtures import rewrite_tfw_config
 from oracles import reference_attention, token_decay
 from tofu import vit
 from tofu.fusion import MergeMethod, ReduceSpec, parse_merge_string
@@ -269,12 +270,7 @@ class TestWeightFile:
         model = tiny_model()
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
-        # rewrite the trailing config blob to claim one more block
-        blob = path.read_bytes()
-        old = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-        new = json.dumps(dict(model.config.to_dict(), depth=3),
-                         sort_keys=True).encode()
-        path.write_bytes(blob[: -4 - len(old)] + struct.pack("<I", len(new)) + new)
+        rewrite_tfw_config(path, model.config, depth=3)  # one more block
         with pytest.raises(vit.WeightShapeError, match="missing"):
             vit.load_weights(str(path))
 
@@ -294,3 +290,50 @@ class TestWeightFile:
         path.write_bytes(body + extra + struct.pack("<I", len(cfg_json)) + cfg_json)
         with pytest.raises(vit.WeightShapeError, match="rogue"):
             vit.load_weights(str(path))
+
+    def test_config_blob_of_wrong_type_rejected(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        rewrite_tfw_config(path, model.config, heads=None)
+        with pytest.raises(vit.WeightShapeError, match="config"):
+            vit.load_weights(str(path))
+
+    def test_out_of_range_config_rejected(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        rewrite_tfw_config(path, model.config, heads=0)
+        with pytest.raises(vit.WeightShapeError, match="heads"):
+            vit.load_weights(str(path))
+
+    @pytest.mark.parametrize("attr,shape", [
+        ("norm_gamma", (9,)), ("norm_beta", (1, 8)), ("bias", (1,))])
+    def test_misshaped_head_tensor_rejected(self, tmp_path, attr, shape):
+        model = vit.random_model(TINY, 0, n_classes=5)
+        setattr(model.head, attr, np.ones(shape, dtype=np.float32))
+        path = str(tmp_path / "m.tfw")
+        vit.save_weights(path, model)
+        with pytest.raises(vit.WeightShapeError, match="expected"):
+            vit.load_weights(path)
+
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        model = tiny_model()
+        model.blocks[1].fc2_bias[3] = np.nan
+        path = str(tmp_path / "m.tfw")
+        vit.save_weights(path, model)
+        with pytest.raises(ValueError, match="non-finite"):
+            vit.load_weights(path)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["depth", "channels", "heads", "mlp_ratio", "patch"])
+    def test_non_positive_field_rejected(self, field):
+        kwargs = dict(depth=2, channels=8, heads=2, mlp_ratio=4, patch=16, image=64)
+        kwargs[field] = 0
+        with pytest.raises(ValueError, match=field):
+            VitConfig(**kwargs)
+
+    def test_image_smaller_than_patch_rejected(self):
+        with pytest.raises(ValueError, match="patch"):
+            VitConfig(depth=2, channels=8, heads=2, patch=16, image=8)
