@@ -9,6 +9,8 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import logging
 import os
@@ -32,20 +34,51 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+@functools.cache
+def _openblas_set_threads():
+    """The set-threads function of the OpenBLAS mapped into this process, or
+    None. Environment variables cannot do this job: OpenBLAS reads them once,
+    when numpy loads it, which is before main runs."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh
+                    if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return None
+    names = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+             "openblas_set_num_threads")
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # such as a mapping of a deleted file
+            continue
+        for name in names:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                return fn
+    return None
+
+
 def _limit_threads(n: int) -> None:
     # default of 1 keeps timings and reductions reproducible
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-        log.debug("threadpoolctl unavailable, set thread env vars to %d", n)
+        threadpoolctl = None
+    if threadpoolctl is not None:
+        threadpoolctl.threadpool_limits(limits=n)
+    elif (set_threads := _openblas_set_threads()) is not None:
+        set_threads(n)
+    else:
+        log.warning("neither threadpoolctl nor OpenBLAS found; "
+                    "--threads %d not applied", n)
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # compact, so that json uses its C encoder
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _write_json(path: str, obj) -> None:

@@ -19,7 +19,6 @@ character per layer; the hybrid d-threshold spec is compiled into one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -231,27 +230,3 @@ def layer_methods(spec: ReduceSpec, depth: int) -> list[MergeMethod]:
     if s is None:
         s = "P" * min(spec.d, depth) + "A" * max(depth - spec.d, 0)
     return parse_merge_string(s, spec.late_method, depth)
-
-
-def reduce_spec_to_json(spec: ReduceSpec) -> str:
-    obj = {
-        "r": spec.r,
-        "late_method": spec.late_method.value,
-    }
-    if spec.merge_string is not None:
-        obj["merge_string"] = spec.merge_string
-    else:
-        obj["d"] = spec.d
-    return json.dumps(obj, sort_keys=True)
-
-
-def reduce_spec_from_json(text: str) -> ReduceSpec:
-    obj = json.loads(text)
-    kwargs = {"r": int(obj.get("r", 0))}
-    if "late_method" in obj:
-        kwargs["late_method"] = MergeMethod(obj["late_method"])
-    if "merge_string" in obj:
-        kwargs["merge_string"] = obj["merge_string"]
-    if "d" in obj:
-        kwargs["d"] = int(obj["d"])
-    return ReduceSpec(**kwargs)

@@ -75,33 +75,31 @@ def update_index(index: np.ndarray, trace: ReduceTrace) -> np.ndarray:
 
 
 def distribute(f_local: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Scatter local rows to full length: out[..., i, :] = f_local[..., index[..., i], :].
+    """Scatter local rows to full length: out[b, i] = f_local[b, index[b, i]].
 
-    Takes one sequence, (M, C) rows with an (N,) index, or a batch, (B, M, C)
-    rows with a (B, N) index.
+    Takes a batch: (B, M, C) local rows and a (B, N) int index into them.
     """
     f_local = np.asarray(f_local, dtype=FLOAT)
     index = np.asarray(index, dtype=np.int64)
-    if index.size and (index.min() < 0 or index.max() >= f_local.shape[-2]):
+    if f_local.ndim != 3 or index.ndim != 2 or index.shape[0] != f_local.shape[0]:
+        raise ValueError(
+            f"distribute needs (B, M, C) rows and a (B, N) index, got "
+            f"{f_local.shape} and {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= f_local.shape[1]):
         raise IndexError(
-            f"dangling local path index (local length {f_local.shape[-2]})")
-    if f_local.ndim == 3:
-        # advanced indexing; np.take_along_axis is much slower at these sizes
-        return f_local[np.arange(f_local.shape[0])[:, None], index]
-    return f_local[index]
+            f"dangling local path index (local length {f_local.shape[1]})")
+    # advanced indexing; np.take_along_axis is much slower at these sizes
+    return f_local[np.arange(f_local.shape[0])[:, None], index]
 
 
-def mbm_mask(x_full: np.ndarray, affected: np.ndarray, cfg: MbmConfig) -> np.ndarray:
-    """0/1 mask for a distributed residual, for (N, C) or (B, N, C) x_full.
+def mbm_mask(x_full: np.ndarray, affected: np.ndarray, t: float) -> np.ndarray:
+    """0/1 float mask for a distributed residual over (B, N, C) x_full.
 
-    Zero exactly where the position took part in a merge and the existing
-    full-path activation magnitude is at or above the threshold. Disabled
-    config (or an infinite threshold) yields all ones.
+    Zero exactly where the position took part in a merge (affected, (B, N))
+    and the existing full-path activation magnitude is at or above t; an
+    infinite t yields all ones.
     """
-    x_full = np.asarray(x_full)
-    if not cfg.enabled:
-        return np.ones(x_full.shape, dtype=FLOAT)
-    hit = np.asarray(affected, dtype=bool)[..., None] & (np.abs(x_full) >= cfg.t)
+    hit = np.asarray(affected, dtype=bool)[..., None] & (np.abs(x_full) >= t)
     return (~hit).astype(FLOAT)
 
 
@@ -155,7 +153,7 @@ def _distribute_add(x_full: np.ndarray, f_local: np.ndarray, index: np.ndarray,
                     affected: np.ndarray, mbm: MbmConfig) -> np.ndarray:
     d = distribute(f_local, index)  # a fresh gather, so safe to update in place
     if mbm.enabled:
-        d *= mbm_mask(x_full, affected, mbm)
+        d *= mbm_mask(x_full, affected, mbm.t)
     d += x_full
     return d
 

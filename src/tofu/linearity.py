@@ -4,7 +4,8 @@ Walk a straight line between two inputs, push every sample through the map
 f, and compare the straight-line distance between the endpoint outputs with
 the length of the sampled output path. A perfectly affine map scores 1; the
 score can never exceed 1 (triangle inequality) and drops toward 0 as the
-output path folds back on itself.
+output path folds back on itself. profile_model scores every layer's MLP on
+pairs of that layer's inputs, chosen by bipartite matching on its keys.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,29 +21,20 @@ from .matching import bipartite_soft_match, partition
 
 UNDEFINED_PATH_EPS = 1e-12
 
-# input pairs for a layer probe: either chosen by matching on the layer's
-# similarity metric, or supplied explicitly as raw vector pairs
-PAIRS_FROM_MATCHING = "bsm"
-PAIRS_EXPLICIT = "explicit"
-
 
 @dataclass
 class FlConfig:
     """Controls for a linearity sweep over a model's layers."""
 
     n_steps: int = 21
-    pair_source: str = PAIRS_FROM_MATCHING
-    pair_r: int = 5
-    explicit_pairs: Sequence[tuple[np.ndarray, np.ndarray]] | None = None
+    pair_r: int = 5  # matched pairs probed per sequence and layer
     layer_selector: str = "mlp"  # "mlp" or "block_mlp" (residual included)
 
     def __post_init__(self):
         if self.n_steps < 3:
             raise ValueError(f"n_steps must be >= 3, got {self.n_steps}")
-        if self.pair_source not in (PAIRS_FROM_MATCHING, PAIRS_EXPLICIT):
-            raise ValueError(f"unknown pair source {self.pair_source!r}")
-        if self.pair_source == PAIRS_EXPLICIT and not self.explicit_pairs:
-            raise ValueError("explicit pair source needs a non-empty pair list")
+        if self.layer_selector not in ("mlp", "block_mlp"):
+            raise ValueError(f"unknown layer selector {self.layer_selector!r}")
 
 
 @dataclass(frozen=True)
@@ -134,11 +126,11 @@ def _aggregate(layer: int, values: list[float]) -> FlLayerStats:
 def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
     """Per-layer linearity of a block stack's MLP sub-maps.
 
-    Runs the stack without reduction, and at each layer probes the MLP on
-    pairs of its actual inputs: pairs come from bipartite matching on that
-    layer's attention keys (or from cfg.explicit_pairs). Undefined ratios
-    are dropped from the aggregates; a layer with no usable pair reports
-    count 0.
+    Runs the stack without reduction, and at each layer probes the MLP (or,
+    with layer_selector "block_mlp", the MLP plus its residual) on pairs of
+    its actual inputs: up to cfg.pair_r pairs per sequence, chosen by
+    bipartite matching on that layer's attention keys. Undefined ratios are
+    dropped from the aggregates; a layer with no usable pair reports count 0.
     """
     # local import; vit depends on fusion which depends on matching
     from . import vit
@@ -156,27 +148,19 @@ def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
 
         if cfg.layer_selector == "mlp":
             f = lambda v, w=w: vit.mlp_map(v, w)
-        elif cfg.layer_selector == "block_mlp":
-            f = lambda v, w=w: np.asarray(v, dtype=np.float32) + vit.mlp_map(v, w)
         else:
-            raise ValueError(f"unknown layer selector {cfg.layer_selector!r}")
+            f = lambda v, w=w: np.asarray(v, dtype=np.float32) + vit.mlp_map(v, w)
 
         values: list[float] = []
-        if cfg.pair_source == PAIRS_EXPLICIT:
-            pairs = [(np.asarray(a), np.asarray(b)) for a, b in cfg.explicit_pairs]
-        else:
-            pairs = []
-            n = x.shape[1]
-            if n >= 2 and cfg.pair_r > 0:
-                p = partition(n)
-                for b in range(x.shape[0]):
-                    m = bipartite_soft_match(keys[b], p, cfg.pair_r)
-                    for s, d in zip(m.idx_src, m.idx_dst):
-                        pairs.append((mlp_in[b, s], mlp_in[b, d]))
-        for x1, x2 in pairs:
-            fl = functional_linearity(f, x1, x2, cfg.n_steps)
-            if fl is not None:
-                values.append(fl)
+        n = x.shape[1]
+        if n >= 2 and cfg.pair_r > 0:
+            p = partition(n)
+            for b in range(x.shape[0]):
+                m = bipartite_soft_match(keys[b], p, cfg.pair_r)
+                for s, d in zip(m.idx_src, m.idx_dst):
+                    fl = functional_linearity(f, mlp_in[b, s], mlp_in[b, d], cfg.n_steps)
+                    if fl is not None:
+                        values.append(fl)
         stats.append(_aggregate(l, values))
 
         x = x_star + vit.mlp_map(mlp_in, w)

@@ -94,12 +94,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return FLOAT(0.5) * x * (FLOAT(1.0) + np.tanh(inner))
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every token row; (B, N, C) -> (B, N)."""
-    x = np.asarray(x, dtype=FLOAT)
-    return np.sqrt(np.sum(x.astype(np.float64) ** 2, axis=-1)).astype(FLOAT)
-
-
 def write_ttf(path: str, x: np.ndarray) -> None:
     """Write an array to the TTF1 binary format.
 
@@ -119,7 +113,9 @@ def write_ttf(path: str, x: np.ndarray) -> None:
 
 
 def read_ttf(path: str) -> np.ndarray:
-    """Read a TTF1 file. Rejects bad magic, truncation and trailing bytes."""
+    """Read a TTF1 file. Rejects bad magic, truncation, trailing bytes and
+    more dims than numpy supports with FormatError, non-finite entries with
+    ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != TTF_MAGIC:
@@ -144,6 +140,9 @@ def read_ttf(path: str) -> np.ndarray:
         raise FormatError(
             f"TTF1 file has {len(blob) - end} trailing bytes after payload")
     x = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-    x = x.reshape(tuple(dims)).astype(FLOAT)
+    try:
+        x = x.reshape(tuple(dims)).astype(FLOAT)
+    except ValueError as exc:  # more dims than numpy supports
+        raise FormatError(f"TTF1 shape: {exc}") from exc
     check_finite(x, "TTF1 payload")
     return x

@@ -237,12 +237,14 @@ def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
 
 
 def forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
-            placement: ReducePlacement = ReducePlacement.BEFORE_MLP,
-            pool: str | None = None) -> tuple[np.ndarray, list[int]]:
+            placement: ReducePlacement = ReducePlacement.BEFORE_MLP
+            ) -> tuple[np.ndarray, list[int]]:
     """Run the full stack; returns (tokens or logits, token count after each layer).
 
     Logits are produced when the model carries head weights: final norm,
-    CLS or mean pooling, linear. pool overrides the config default.
+    pooling, linear. A config with cls_token pools row 0, which after a
+    reduce holds whichever token ended there, since no class token is
+    protected; a config without one mean-pools every row.
     """
     x = np.asarray(x, dtype=FLOAT)
     cfg = model.config
@@ -255,14 +257,10 @@ def forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
         return x, counts
     h = model.head
     x = layernorm(x, h.norm_gamma, h.norm_beta)
-    if pool is None:
-        pool = "cls" if cfg.cls_token else "mean"
-    if pool == "cls":
+    if cfg.cls_token:
         pooled = x[:, 0, :]
-    elif pool == "mean":
-        pooled = x.astype(np.float64).mean(axis=1).astype(FLOAT)
     else:
-        raise ValueError(f"unknown pool {pool!r}")
+        pooled = x.astype(np.float64).mean(axis=1).astype(FLOAT)
     return pooled @ h.weight + h.bias, counts
 
 
@@ -417,7 +415,8 @@ def save_weights(path: str, model: VitModel) -> None:
 def load_weights(path: str) -> VitModel:
     """Read a TFW1 file back into a model.
 
-    Bad magic, truncation (with the byte offset) and tensor/config shape
+    Bad magic, truncation (with the byte offset), other malformed structure
+    (such as a tensor name that is not UTF-8) and tensor/config shape
     mismatches each raise their own error type; non-finite entries raise
     ValueError.
     """
@@ -440,7 +439,11 @@ def load_weights(path: str) -> VitModel:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", need(2, "name length"))
-        name = need(name_len, "tensor name").decode("utf-8")
+        try:
+            name = need(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"TFW1 tensor name at byte offset {off - name_len} is not UTF-8") from exc
         (ndim,) = struct.unpack("<B", need(1, "ndim"))
         dims = [struct.unpack("<I", need(4, "dims"))[0] for _ in range(ndim)]
         n_items = 1
@@ -449,9 +452,11 @@ def load_weights(path: str) -> VitModel:
         payload = need(4 * n_items, f"payload of {name}")
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
-        tensors[name] = check_finite(
-            np.frombuffer(payload, dtype="<f4").reshape(dims).astype(FLOAT),
-            f"TFW1 tensor {name!r}")
+        try:
+            arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        except ValueError as exc:  # more dims than numpy supports
+            raise FormatError(f"TFW1 tensor {name!r}: {exc}") from exc
+        tensors[name] = check_finite(arr.astype(FLOAT), f"TFW1 tensor {name!r}")
     (json_len,) = struct.unpack("<I", need(4, "config length"))
     cfg_blob = need(json_len, "config blob")
     if off != len(blob):
@@ -459,7 +464,8 @@ def load_weights(path: str) -> VitModel:
 
     try:
         cfg = VitConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: json reads Infinity, and int() cannot take it
         raise WeightShapeError(f"invalid TFW1 config blob: {exc}") from exc
 
     shapes = _block_shapes(cfg)

@@ -27,28 +27,6 @@ def identity_mlp_model(depth=2, channels=4, heads=2, seed=0):
     return model
 
 
-def abs_mlp_model(channels=4, seed=0):
-    """Single block whose MLP computes |v| exactly for |v_j| >= 0.25.
-
-    Scaling by a power of two keeps the saturated-gelu branch bit-exact:
-    (gelu(64 v) + gelu(-64 v)) / 64 == |v|.
-    """
-    cfg = vit.VitConfig(depth=1, channels=channels, heads=2,
-                        patch=16, image=32, cls_token=False)
-    model = vit.random_model(cfg, seed)
-    c, hid = channels, cfg.hidden
-    blk = model.blocks[0]
-    fc1 = np.zeros((c, hid), dtype=np.float32)
-    fc1[:, :c] = 64.0 * np.eye(c)
-    fc1[:, c:2 * c] = -64.0 * np.eye(c)
-    fc2 = np.zeros((hid, c), dtype=np.float32)
-    fc2[:c, :] = np.eye(c) / 64.0
-    fc2[c:2 * c, :] = np.eye(c) / 64.0
-    blk.fc1_weight, blk.fc1_bias = fc1, np.zeros(hid, dtype=np.float32)
-    blk.fc2_weight, blk.fc2_bias = fc2, np.zeros(c, dtype=np.float32)
-    return model
-
-
 def rewrite_tfw_config(path, config, **changes) -> None:
     """Replace the config blob that ends a TFW1 file saved for config."""
     path = pathlib.Path(path)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +170,7 @@ class TestFlops:
         out = tmp_path / "f.json"
         run_cli("flops", "--arch", "vit-tiny", "--r", "4", "--out", str(out))
         text = out.read_text()
+        assert text.count("\n") == 1  # compact: one line
         assert cli._dump_json(json.loads(text)) == text
 
 
@@ -218,3 +223,44 @@ def test_log_env_var_accepted(tmp_path, monkeypatch):
     monkeypatch.setenv("TOFU_LOG", "debug")
     out = tmp_path / "f.json"
     assert run_cli("flops", "--arch", "vit-tiny", "--out", str(out)) == 0
+
+
+# Runs `tofu --threads N flops`, then asks the loaded OpenBLAS for its count.
+_BLAS_THREADS_AFTER_MAIN = """
+import ctypes, sys
+from tofu import cli
+cli.main(["--threads", sys.argv[1], "flops", "--arch", "vit-tiny"])
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    libs = sorted({line.split()[-1] for line in fh
+                   if "openblas" in line.lower() and "/" in line})
+for path in libs:
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(path), name, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            print(fn())
+            sys.exit(0)
+print("none")
+"""
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_threads_flag_sets_openblas_count(n):
+    # OpenBLAS starts at the other count, so the flag has to change it
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(3 - n),
+               PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AFTER_MAIN, str(n)],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True).stdout.split()[-1]
+    if out == "none":
+        pytest.skip("no OpenBLAS is mapped into the process")
+    assert int(out) == n
+
+
+def test_threads_flag_warns_when_nothing_can_apply_it(monkeypatch, caplog):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.setattr(cli, "_openblas_set_threads", lambda: None)
+    with caplog.at_level("WARNING", logger="tofu"):
+        cli._limit_threads(3)
+    assert "--threads 3 not applied" in caplog.text

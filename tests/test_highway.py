@@ -56,29 +56,37 @@ class TestUpdateIndex:
 
 class TestDistribute:
     def test_identity_index(self):
-        f = np.arange(6, dtype=np.float32).reshape(3, 2)
-        out = highway.distribute(f, np.array([0, 1, 2]))
+        f = np.arange(6, dtype=np.float32).reshape(1, 3, 2)
+        out = highway.distribute(f, np.array([[0, 1, 2]]))
         assert np.array_equal(out, f)
 
     def test_copies_merged_rows(self):
-        f = np.array([[1.0, 1], [2, 2], [3, 3]], dtype=np.float32)
-        out = highway.distribute(f, np.array([0, 1, 2, 2]))
-        assert np.array_equal(out, [[1, 1], [2, 2], [3, 3], [3, 3]])
+        f = np.array([[[1.0, 1], [2, 2], [3, 3]]], dtype=np.float32)
+        out = highway.distribute(f, np.array([[0, 1, 2, 2]]))
+        assert np.array_equal(out, [[[1, 1], [2, 2], [3, 3], [3, 3]]])
 
     def test_restores_ordering_after_r0_reduce(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((7, 3)).astype(np.float32)
         reduced, trace = apply_reduce(x, x, MergeMethod.AVERAGE, 0)
         idx = highway.update_index(np.arange(7), trace)
-        assert np.array_equal(highway.distribute(reduced, idx), x)
+        assert np.array_equal(highway.distribute(reduced[None], idx[None]), x[None])
 
     def test_dangling_index_rejected(self):
         with pytest.raises(IndexError):
-            highway.distribute(np.zeros((2, 3), dtype=np.float32),
-                               np.array([0, 1, 2]))
+            highway.distribute(np.zeros((1, 2, 3), dtype=np.float32),
+                               np.array([[0, 1, 2]]))
         with pytest.raises(IndexError):
             highway.distribute(np.zeros((2, 2, 3), dtype=np.float32),
                                np.array([[0, 1, 0], [1, 2, 0]]))
+
+    def test_single_sequence_rejected(self):
+        # a 2-D (M, C) input would gather along the wrong axis
+        f = np.zeros((3, 2), dtype=np.float32)
+        for rows, index in ((f, np.array([0, 1, 2])), (f[None], np.array([0, 1, 2])),
+                            (f[None], np.array([[0, 1], [1, 2]]))):
+            with pytest.raises(ValueError):
+                highway.distribute(rows, index)
 
     def test_batched_distribute_and_mask_equal_per_item_bitwise(self):
         rng = np.random.default_rng(3)
@@ -88,43 +96,34 @@ class TestDistribute:
         x_full = rng.standard_normal((b, n, c)).astype(np.float32)
         affected = rng.random((b, n)) < 0.5
         out = highway.distribute(f, index)
-        assert np.array_equal(out, np.stack([highway.distribute(f[i], index[i])
-                                             for i in range(b)]))
-        for cfg in (MbmConfig(t=0.7, enabled=True), MbmConfig()):
-            mask = highway.mbm_mask(x_full, affected, cfg)
-            per_item = np.stack([highway.mbm_mask(x_full[i], affected[i], cfg)
-                                 for i in range(b)])
-            assert mask.dtype == np.float32
-            assert mask.tobytes() == per_item.tobytes()
+        assert np.array_equal(out, np.concatenate(
+            [highway.distribute(f[i:i + 1], index[i:i + 1]) for i in range(b)]))
+        mask = highway.mbm_mask(x_full, affected, 0.7)
+        per_item = np.concatenate([highway.mbm_mask(x_full[i:i + 1], affected[i:i + 1], 0.7)
+                                   for i in range(b)])
+        assert mask.dtype == np.float32
+        assert mask.tobytes() == per_item.tobytes()
 
 
 class TestMbmMask:
     def test_infinite_threshold_all_ones(self):
-        x = np.random.default_rng(0).standard_normal((4, 3)).astype(np.float32)
-        mask = highway.mbm_mask(x, np.ones(4, dtype=bool),
-                                MbmConfig(t=np.inf, enabled=True))
+        x = np.random.default_rng(0).standard_normal((1, 4, 3)).astype(np.float32)
+        mask = highway.mbm_mask(x, np.ones((1, 4), dtype=bool), np.inf)
         assert np.array_equal(mask, np.ones_like(x))
 
     def test_zero_threshold_masks_all_merged(self):
-        x = np.random.default_rng(1).standard_normal((4, 3)).astype(np.float32)
-        mask = highway.mbm_mask(x, np.ones(4, dtype=bool),
-                                MbmConfig(t=0.0, enabled=True))
+        x = np.random.default_rng(1).standard_normal((1, 4, 3)).astype(np.float32)
+        mask = highway.mbm_mask(x, np.ones((1, 4), dtype=bool), 0.0)
         assert np.array_equal(mask == 0.0, np.abs(x) >= 0.0)
 
     def test_elementwise_rule(self):
-        x = np.zeros((4, 2), dtype=np.float32)
-        x[2] = [5.0, 0.5]
-        affected = np.zeros(4, dtype=bool)
-        affected[2] = True
-        mask = highway.mbm_mask(x, affected, MbmConfig(t=1.0, enabled=True))
-        assert mask[2].tolist() == [0.0, 1.0]
-        assert np.array_equal(mask[[0, 1, 3]], np.ones((3, 2), dtype=np.float32))
-
-    def test_disabled_config_all_ones(self):
-        x = np.full((2, 2), 100.0, dtype=np.float32)
-        mask = highway.mbm_mask(x, np.ones(2, dtype=bool),
-                                MbmConfig(t=0.0, enabled=False))
-        assert np.array_equal(mask, np.ones_like(x))
+        x = np.zeros((1, 4, 2), dtype=np.float32)
+        x[0, 2] = [5.0, 0.5]
+        affected = np.zeros((1, 4), dtype=bool)
+        affected[0, 2] = True
+        mask = highway.mbm_mask(x, affected, 1.0)
+        assert mask[0, 2].tolist() == [0.0, 1.0]
+        assert np.array_equal(mask[0, [0, 1, 3]], np.ones((3, 2), dtype=np.float32))
 
 
 class TestHighwayBlocks:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_fixtures import abs_mlp_model, identity_mlp_model
+from model_fixtures import identity_mlp_model
 from tofu import linearity, vit
 from tofu.linearity import FlConfig, functional_linearity, interpolate, path_length
 
@@ -146,9 +146,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlConfig(n_steps=2)
     with pytest.raises(ValueError):
-        FlConfig(pair_source="explicit")
-    with pytest.raises(ValueError):
-        FlConfig(pair_source="nope")
+        FlConfig(layer_selector="nope")
 
 
 def test_profile_identity_mlp_is_one():
@@ -159,18 +157,6 @@ def test_profile_identity_mlp_is_one():
     for stats in report.layers:
         assert stats.count > 0
         assert stats.mean_fl == pytest.approx(1.0, abs=1e-5)
-
-
-def test_profile_explicit_antipodal_abs_pair():
-    model = abs_mlp_model()
-    pair = (np.array([1.0, 0, 0, 0], dtype=np.float32),
-            np.array([-1.0, 0, 0, 0], dtype=np.float32))
-    cfg = FlConfig(pair_source=linearity.PAIRS_EXPLICIT, explicit_pairs=[pair])
-    tokens = np.zeros((1, 4, 4), dtype=np.float32)
-    tokens[0] = np.eye(4)
-    report = linearity.profile_model(model, tokens, cfg)
-    assert report.layers[0].count == 1
-    assert report.layers[0].mean_fl == 0.0
 
 
 def test_profile_values_in_range_and_deterministic():

@@ -153,7 +153,10 @@ class TestForward:
         x = rand_tokens(3, cfg.n_tokens, 8, seed=13)
         logits, _ = vit.forward(x, model, ReduceSpec(r=0))
         assert logits.shape == (3, 10)
-        mean_logits, _ = vit.forward(x, model, ReduceSpec(r=0), pool="mean")
+        # a config without a class token mean-pools the same tokens instead
+        no_cls = vit.VitModel(VitConfig(depth=2, channels=8, heads=2, image=64,
+                                        cls_token=False), model.blocks, model.head)
+        mean_logits, _ = vit.forward(x, no_cls, ReduceSpec(r=0))
         assert mean_logits.shape == (3, 10)
         assert not np.array_equal(logits, mean_logits)
 
@@ -296,6 +299,14 @@ class TestWeightFile:
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
         rewrite_tfw_config(path, model.config, heads=None)
+        with pytest.raises(vit.WeightShapeError, match="config"):
+            vit.load_weights(str(path))
+
+    def test_infinite_config_value_rejected(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        rewrite_tfw_config(path, model.config, heads=float("inf"))
         with pytest.raises(vit.WeightShapeError, match="config"):
             vit.load_weights(str(path))
 
