@@ -9,6 +9,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
@@ -35,45 +36,60 @@ def _setup_logging() -> None:
 
 
 @functools.cache
-def _openblas_set_threads():
-    """The set-threads function of the OpenBLAS mapped into this process, or
-    None. Environment variables cannot do this job: OpenBLAS reads them once,
-    when numpy loads it, which is before main runs."""
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS mapped into this
+    process, or None. Environment variables cannot do this job: OpenBLAS
+    reads them once, when numpy loads it, which is before main runs."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh
                     if "openblas" in line.lower() and "/" in line}
     except OSError:
         return None
-    names = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-             "openblas_set_num_threads")
+    names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+             "openblas_{}_num_threads")
     for path in sorted(libs):
         try:
             lib = ctypes.CDLL(path)
         except OSError:  # such as a mapping of a deleted file
             continue
         for name in names:
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                return fn
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes = []
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                set_.restype = None
+                return get, set_
     return None
 
 
-def _limit_threads(n: int) -> None:
-    # default of 1 keeps timings and reductions reproducible
+@contextlib.contextmanager
+def _limit_threads(n: int):
+    """Cap BLAS at n threads inside the block; the count in effect before
+    comes back on exit, so an in-process caller keeps its own setting."""
     try:
         import threadpoolctl
     except ImportError:
         threadpoolctl = None
     if threadpoolctl is not None:
-        threadpoolctl.threadpool_limits(limits=n)
-    elif (set_threads := _openblas_set_threads()) is not None:
-        set_threads(n)
-    else:
+        with threadpoolctl.threadpool_limits(limits=n):
+            yield
+        return
+    blas = _openblas_threads()
+    if blas is None:
         log.warning("neither threadpoolctl nor OpenBLAS found; "
                     "--threads %d not applied", n)
+        yield
+        return
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _dump_json(obj) -> str:
@@ -361,9 +377,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     _setup_logging()
-    _limit_threads(args.threads)
+    # default of 1 keeps timings and reductions reproducible
     try:
-        return args.func(args)
+        with _limit_threads(args.threads):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -139,11 +139,13 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
     f_attn, _ = attention(
         layernorm(x_local, w.norm1_gamma, w.norm1_beta), w, n_heads)
     x_full = _distribute_add(x_full, f_attn, index, affected, mbm)
-    x_local = x_local + f_attn
+    f_attn += x_local
+    x_local = f_attn
 
     f_mlp = mlp_map(layernorm(x_local, w.norm2_gamma, w.norm2_beta), w)
     x_full = _distribute_add(x_full, f_mlp, index, affected, mbm)
-    x_local = x_local + f_mlp
+    f_mlp += x_local
+    x_local = f_mlp
 
     return HighwayState(x_full=x_full, x_local=x_local, index=index,
                         affected=affected, last_traces=traces)

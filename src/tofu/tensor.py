@@ -3,8 +3,10 @@
 Token tensors are plain numpy arrays of shape (B, N, C): B sequences of N
 tokens with C channels each. Weight matrices are 2-D float32 arrays. All
 public operations are pure, never broadcast silently across mismatched
-shapes, and keep every entry finite. Reductions (means, variances, norms)
-accumulate in float64 before casting back to float32.
+shapes, and keep every entry finite. Elementwise arithmetic runs in
+float32; every sum behind a reduction (means, variances, softmax
+denominators) accumulates in float64 before the result is cast back to
+float32.
 """
 
 from __future__ import annotations
@@ -51,8 +53,11 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
               eps: float = 1e-6) -> np.ndarray:
     """Per-token normalization over the channel axis, then affine scale/shift.
 
-    Statistics are computed in float64; each row comes out with mean 0 and
-    unit variance (up to eps) before gamma/beta are applied.
+    Each row comes out with mean 0 and unit variance (up to eps) before
+    gamma/beta are applied. The row mean and the sum of squares accumulate
+    in float64, the squares themselves are formed in float64 (a float32
+    square overflows for an entry 1.8e19 from its mean), and the centring,
+    scaling and affine run in float32 on one fresh array.
     """
     x = np.asarray(x, dtype=FLOAT)
     gamma = np.asarray(gamma, dtype=FLOAT)
@@ -63,21 +68,38 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
             f"layernorm affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
     if eps <= 0:
         raise ValueError("layernorm eps must be positive")
-    x64 = x.astype(np.float64)
-    mean = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    normed = (x64 - mean) / np.sqrt(var + eps)
-    return (normed * gamma.astype(np.float64) + beta.astype(np.float64)).astype(FLOAT)
+    mean = x.mean(axis=-1, keepdims=True, dtype=np.float64)
+    mean32 = mean.astype(FLOAT)
+    # centred at half scale, so that a row spanning the whole float32 range
+    # cannot overflow; halving is exact, so the normalised rows do not change
+    y = x * FLOAT(0.5)
+    y -= mean32 * FLOAT(0.5)
+    # what rounding the mean to float32 lost; it matters when a row's spread
+    # is a few float32 steps of its mean, as for rows at a large offset
+    y -= ((mean - mean32) * 0.5).astype(FLOAT)
+    quarter_var = np.einsum("...c,...c->...", y, y, dtype=np.float64)[..., None] / c
+    y *= (1.0 / np.sqrt(quarter_var + eps / 4)).astype(FLOAT)
+    y *= gamma
+    y += beta
+    return y
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D array, stabilized by max subtraction."""
+    """Row-wise softmax of a 2-D array, stabilized by max subtraction.
+
+    The shift and the exponentials are float32 on one fresh array, the row
+    sums accumulate in float64. A row spanning more than the float32 range
+    shifts its smallest entries to -inf, whose exponential is the 0 that
+    float64 gives too.
+    """
     x = np.asarray(x, dtype=FLOAT)
     if x.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D array, got {x.shape}")
-    shifted = x.astype(np.float64) - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return (e / e.sum(axis=1, keepdims=True)).astype(FLOAT)
+    with np.errstate(over="ignore"):
+        e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True, dtype=np.float64).astype(FLOAT)
+    return e
 
 
 _GELU_K = math.sqrt(2.0 / math.pi)
@@ -87,11 +109,22 @@ def gelu(x: np.ndarray) -> np.ndarray:
     """Elementwise GELU, tanh approximation.
 
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))). Kept as the
-    tanh form so cross-implementation differences stay under 1e-3.
+    tanh form so cross-implementation differences stay under 1e-3. Evaluated
+    in that order on one fresh float32 array.
     """
     x = np.asarray(x, dtype=FLOAT)
-    inner = FLOAT(_GELU_K) * (x + FLOAT(0.044715) * x * x * x)
-    return FLOAT(0.5) * x * (FLOAT(1.0) + np.tanh(inner))
+    t = np.asarray(FLOAT(0.044715) * x)  # an array even for 0-d x
+    t *= x
+    t *= x
+    t += x
+    t *= FLOAT(_GELU_K)
+    np.tanh(t, out=t)
+    t += FLOAT(1.0)
+    # halving t is exact, so this is (0.5 * x) * t rounded once; only a
+    # subnormal x, whose half is not exact, can round differently
+    t *= FLOAT(0.5)
+    t *= x
+    return t
 
 
 def write_ttf(path: str, x: np.ndarray) -> None:

@@ -150,25 +150,31 @@ def attention(x: np.ndarray, w: BlockWeights, n_heads: int
             f"qkv weight {w.qkv_weight.shape} incompatible with C={c}")
     dh = c // n_heads
 
-    qkv = x @ w.qkv_weight + w.qkv_bias  # (B, N, 3C)
+    qkv = x @ w.qkv_weight  # (B, N, 3C)
+    qkv += w.qkv_bias
     qkv = qkv.reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q, k, v = qkv[0], qkv[1], qkv[2]  # each (B, H, N, dh)
 
-    scores = (q @ k.transpose(0, 1, 3, 2)) * FLOAT(1.0 / np.sqrt(dh))
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= FLOAT(1.0 / np.sqrt(dh))
     weights = tensor.softmax_rows(scores.reshape(b * n_heads * n, n))
     weights = weights.reshape(b, n_heads, n, n)
 
     out = (weights @ v).transpose(0, 2, 1, 3).reshape(b, n, c)
-    out = out @ w.proj_weight + w.proj_bias
-    keys = k.astype(np.float64).mean(axis=1).astype(FLOAT)  # (B, N, dh)
+    out = out @ w.proj_weight
+    out += w.proj_bias
+    keys = k.mean(axis=1, dtype=np.float64).astype(FLOAT)  # (B, N, dh)
     return out, keys
 
 
 def mlp_map(v: np.ndarray, w: BlockWeights) -> np.ndarray:
     """The block's MLP as a map over (..., C) rows: fc1 -> gelu -> fc2."""
     v = np.asarray(v, dtype=FLOAT)
-    h = tensor.gelu(v @ w.fc1_weight + w.fc1_bias)
-    return h @ w.fc2_weight + w.fc2_bias
+    h = v @ w.fc1_weight
+    h += w.fc1_bias
+    out = tensor.gelu(h) @ w.fc2_weight
+    out += w.fc2_bias
+    return out
 
 
 def _effective_r(n: int, r: int) -> int:
@@ -206,15 +212,16 @@ def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
     r_eff = _effective_r(n, r)
 
     if placement is ReducePlacement.BEFORE_MLP:
-        attn_out, keys = attention(layernorm(x, w.norm1_gamma, w.norm1_beta), w, n_heads)
-        x_star = x + attn_out
+        x_star, keys = attention(layernorm(x, w.norm1_gamma, w.norm1_beta), w, n_heads)
+        x_star += x
         traces = None
         if r_eff > 0:
             items = [apply_reduce(x_star[i], keys[i], method, r_eff)
                      for i in range(b)]
             x_star = np.stack([it[0] for it in items])
             traces = [it[1] for it in items]
-        y = x_star + mlp_map(layernorm(x_star, w.norm2_gamma, w.norm2_beta), w)
+        y = mlp_map(layernorm(x_star, w.norm2_gamma, w.norm2_beta), w)
+        y += x_star
         return y, traces
 
     if placement is ReducePlacement.BEFORE_ATTN:
@@ -225,10 +232,11 @@ def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
             items = [apply_reduce(x[i], x[i], method, r_eff) for i in range(b)]
             x_red = np.stack([it[0] for it in items])
             traces = [it[1] for it in items]
-        attn_out, _ = attention(
+        x_star, _ = attention(
             layernorm(x_red, w.norm1_gamma, w.norm1_beta), w, n_heads)
-        x_star = x_red + attn_out
-        y = x_star + mlp_map(layernorm(x_star, w.norm2_gamma, w.norm2_beta), w)
+        x_star += x_red
+        y = mlp_map(layernorm(x_star, w.norm2_gamma, w.norm2_beta), w)
+        y += x_star
         if traces is not None:
             y = np.stack([unmerge(y[i], traces[i]) for i in range(b)])
         return y, traces
@@ -260,7 +268,7 @@ def forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
     if cfg.cls_token:
         pooled = x[:, 0, :]
     else:
-        pooled = x.astype(np.float64).mean(axis=1).astype(FLOAT)
+        pooled = x.mean(axis=1, dtype=np.float64).astype(FLOAT)
     return pooled @ h.weight + h.bias, counts
 
 

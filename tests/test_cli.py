@@ -225,42 +225,54 @@ def test_log_env_var_accepted(tmp_path, monkeypatch):
     assert run_cli("flops", "--arch", "vit-tiny", "--out", str(out)) == 0
 
 
-# Runs `tofu --threads N flops`, then asks the loaded OpenBLAS for its count.
-_BLAS_THREADS_AFTER_MAIN = """
+# Runs `tofu --threads N flops` and asks the loaded OpenBLAS for its count
+# inside the command and again after main has returned.
+_BLAS_THREADS_AROUND_MAIN = """
 import ctypes, sys
 from tofu import cli
-cli.main(["--threads", sys.argv[1], "flops", "--arch", "vit-tiny"])
 with open("/proc/self/maps", encoding="utf-8") as fh:
     libs = sorted({line.split()[-1] for line in fh
                    if "openblas" in line.lower() and "/" in line})
+get = None
 for path in libs:
     for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                  "openblas_get_num_threads"):
-        fn = getattr(ctypes.CDLL(path), name, None)
-        if fn is not None:
-            fn.restype = ctypes.c_int
-            print(fn())
-            sys.exit(0)
-print("none")
+        get = get or getattr(ctypes.CDLL(path), name, None)
+if get is None:
+    print("none")
+    sys.exit(0)
+get.restype = ctypes.c_int
+inside = []
+flops = cli.cmd_flops
+def probe(args):
+    inside.append(get())
+    return flops(args)
+cli.cmd_flops = probe
+cli.main(["--threads", sys.argv[1], "flops", "--arch", "vit-tiny"])
+print(inside[0], get())
 """
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_threads_flag_sets_openblas_count(n):
-    # OpenBLAS starts at the other count, so the flag has to change it
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(3 - n),
+    # OpenBLAS starts at the other count, so the flag has to change it, and
+    # main has to put it back
+    start = 3 - n
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(start),
                PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AFTER_MAIN, str(n)],
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AROUND_MAIN, str(n)],
                          env=env, capture_output=True, text=True, timeout=120,
-                         check=True).stdout.split()[-1]
-    if out == "none":
+                         check=True).stdout.split()
+    if out == ["none"]:
         pytest.skip("no OpenBLAS is mapped into the process")
-    assert int(out) == n
+    inside, after = map(int, out[-2:])
+    assert inside == n
+    assert after == start
 
 
 def test_threads_flag_warns_when_nothing_can_apply_it(monkeypatch, caplog):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    monkeypatch.setattr(cli, "_openblas_set_threads", lambda: None)
-    with caplog.at_level("WARNING", logger="tofu"):
-        cli._limit_threads(3)
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    with caplog.at_level("WARNING", logger="tofu"), cli._limit_threads(3):
+        pass
     assert "--threads 3 not applied" in caplog.text

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_match, brute_force_select
-from tofu import matching
+from tofu import cli, matching
 
 
 def test_partition_alternating():
@@ -153,13 +153,17 @@ def test_match_deterministic_across_calls():
 
 
 def test_match_deterministic_across_thread_counts():
-    threadpoolctl = pytest.importorskip("threadpoolctl")
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.importorskip("threadpoolctl")
     rng = np.random.default_rng(13)
     metric = rng.standard_normal((64, 16)).astype(np.float32)
     p = matching.partition(64)
     results = []
     for limit in (1, 2, 1):
-        with threadpoolctl.threadpool_limits(limits=limit):
+        with cli._limit_threads(limit):
+            if blas is not None:
+                assert blas[0]() == limit
             results.append(matching.bipartite_soft_match(metric, p, 20))
     for m in results[1:]:
         assert np.array_equal(results[0].idx_src, m.idx_src)

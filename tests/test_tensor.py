@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,98 @@ def test_public_ops_stay_finite(x):
         tensor.softmax_rows(x.reshape(6, 4)),
     ):
         assert np.all(np.isfinite(out))
+
+
+def _layernorm64(x, gamma, beta, eps=1e-6):
+    x = x.astype(np.float64)
+    mean = x.mean(axis=-1, keepdims=True)
+    var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+
+
+def _softmax64(x):
+    x = x.astype(np.float64)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+# the float32 kernels against the float64 formulas at a ViT-B/16 and a
+# vit-tiny batch shape, with rows centred at 0 and at 30
+_KERNEL_CASES = [(shape, offset) for shape in ((1, 197, 768), (32, 50, 192))
+                 for offset in (0.0, 30.0)]
+
+
+@pytest.mark.parametrize("shape,offset", _KERNEL_CASES)
+def test_layernorm_matches_float64(shape, offset):
+    rng = np.random.default_rng(11)
+    x = (rng.standard_normal(shape) * 2 + offset).astype(np.float32)
+    c = shape[-1]
+    gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    beta = rng.standard_normal(c).astype(np.float32)
+    out = tensor.layernorm(x, gamma, beta)
+    assert out.dtype == np.float32
+    # outputs reach about 7 in magnitude, where a float32 step is 4.8e-7;
+    # allow four such steps
+    assert np.abs(out - _layernorm64(x, gamma, beta)).max() <= 2e-6
+
+
+@pytest.mark.parametrize("shape,offset", _KERNEL_CASES)
+def test_softmax_matches_float64(shape, offset):
+    rng = np.random.default_rng(12)
+    x = (rng.standard_normal(shape) * 3 + offset).astype(np.float32)
+    x = x.reshape(-1, shape[-1])
+    out = tensor.softmax_rows(x)
+    ref = _softmax64(x)
+    assert out.dtype == np.float32
+    # the float32 shift and exp cost a few float32 steps of each probability
+    assert np.abs(out - ref).max() <= 1e-7
+    assert (np.abs(out - ref) / ref).max() <= 1e-5
+
+
+def test_gelu_bitwise_closed_form():
+    x = np.random.default_rng(13).standard_normal((4, 50, 768)).astype(np.float32) * 4
+    f = np.float32
+    expected = f(0.5) * x * (f(1.0) + np.tanh(
+        f(math.sqrt(2.0 / math.pi)) * (x + f(0.044715) * x * x * x)))
+    assert np.array_equal(tensor.gelu(x), expected)
+    assert tensor.gelu(x[0, 0, 0]) == expected[0, 0, 0]  # a scalar works too
+
+
+def test_extreme_rows_stay_finite_without_warnings():
+    rng = np.random.default_rng(14)
+    scores = rng.standard_normal((4, 197)).astype(np.float32)
+    scores[0, :2] = 3e38, -3e38     # spans more than the float32 range
+    scores[1, 5] = 3e38
+    scores[2, :] = -3e38
+    rows = rng.standard_normal((4, 768)).astype(np.float32)
+    base = np.float32(1e30)
+    step = np.spacing(base)
+    rows[0] = base + step * rng.integers(0, 4, 768)  # spread of a few float32 steps
+    rows[1, 7] = 1e30                                # squares past the float32 range
+    rows[2] = base
+    rows[3, :2] = 3e38, -3e38                        # spans more than the float32 range
+    gamma, beta = np.ones(768, np.float32), np.zeros(768, np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sm = tensor.softmax_rows(scores)
+        ln = tensor.layernorm(rows, gamma, beta)
+    assert np.all(np.isfinite(sm)) and np.all(np.isfinite(ln))
+    # same tolerances as the float64 comparisons above
+    assert np.abs(sm - _softmax64(scores)).max() <= 1e-7
+    assert np.abs(ln - _layernorm64(rows, gamma, beta)).max() <= 2e-6
+
+
+def test_kernels_leave_inputs_unchanged():
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((2, 9, 8)).astype(np.float32)
+    gamma = rng.standard_normal(8).astype(np.float32)
+    beta = rng.standard_normal(8).astype(np.float32)
+    before = [a.copy() for a in (x, gamma, beta)]
+    tensor.layernorm(x, gamma, beta)
+    tensor.softmax_rows(x.reshape(18, 8))
+    tensor.gelu(x)
+    for a, b in zip((x, gamma, beta), before):
+        assert np.array_equal(a, b)
 
 
 class TestTtfFormat:

@@ -7,7 +7,7 @@ import pytest
 
 from model_fixtures import rewrite_tfw_config
 from oracles import reference_attention, token_decay
-from tofu import vit
+from tofu import highway, vit
 from tofu.fusion import MergeMethod, ReduceSpec, parse_merge_string
 from tofu.tensor import FormatError, ShapeError, TruncatedError, layernorm
 from tofu.vit import ReducePlacement, VitConfig
@@ -99,6 +99,25 @@ class TestBlockForward:
         assert y.shape == x.shape
         assert traces is not None
 
+
+    def test_block_ops_leave_inputs_unchanged(self):
+        # the block adds biases and residuals in place, so check that only
+        # arrays it allocated itself were written
+        model = tiny_model()
+        w = model.blocks[0]
+        weights = {f: getattr(w, f).copy() for f in vars(w)}
+        x = rand_tokens(2, 9, 8, seed=14)
+        x_before = x.copy()
+        vit.attention(x, w, 2)
+        vit.mlp_map(x, w)
+        for placement in ReducePlacement:
+            for r in (0, 2):
+                vit.block_forward(x, w, 2, MergeMethod.AVERAGE, r, placement)
+        highway.highway_forward(x, model, ReduceSpec(r=2),
+                                highway.MbmConfig(t=0.5, enabled=True))
+        assert np.array_equal(x, x_before)
+        for f, before in weights.items():
+            assert np.array_equal(getattr(w, f), before), f
 
 class TestForward:
     def test_linear_decay_counts_vitb_shape(self):
