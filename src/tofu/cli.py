@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import json
 import logging
@@ -104,15 +105,10 @@ def _write_json(path: str, obj) -> None:
 
 def _arch_config(args) -> vit.VitConfig:
     cfg = vit.ARCH_PRESETS[args.arch]
-    if getattr(args, "image", None) or getattr(args, "patch", None):
-        cfg = vit.VitConfig(
-            depth=cfg.depth, channels=cfg.channels, heads=cfg.heads,
-            mlp_ratio=cfg.mlp_ratio,
-            patch=args.patch or cfg.patch,
-            image=args.image or cfg.image,
-            cls_token=cfg.cls_token,
-        )
-    return cfg
+    # replace() re-runs VitConfig's checks, so --image 0 or --patch 0 fails
+    return dataclasses.replace(
+        cfg, image=cfg.image if args.image is None else args.image,
+        patch=cfg.patch if args.patch is None else args.patch)
 
 
 def _trace_dict(trace: fusion.ReduceTrace) -> dict:
@@ -368,7 +364,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         for m in args.methods.split(","):
             if m.strip() and m.strip() not in known:
                 parser.error(f"unknown method {m.strip()!r}")
-    if args.command in ("reduce", "flops", "bench") and args.r < 0:
+    if args.command in ("reduce", "fl", "flops", "bench") and args.r < 0:
         parser.error("--r must be non-negative")
 
 

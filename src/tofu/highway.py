@@ -37,15 +37,12 @@ class HighwayState:
 
     index[b, i] is the local row that full position i currently resolves to;
     affected[b, i] marks positions that have taken part in any merge so far.
-    last_traces holds the per-item reduce traces of the most recent block
-    (None when that block did not reduce).
     """
 
     x_full: np.ndarray   # (B, N, C)
     x_local: np.ndarray  # (B, M, C)
     index: np.ndarray    # (B, N) int64 into local rows
     affected: np.ndarray  # (B, N) bool
-    last_traces: list[ReduceTrace] | None = None
 
 
 def init_state(x: np.ndarray) -> HighwayState:
@@ -119,9 +116,8 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
     x_local = state.x_local
     index = state.index
     affected = state.affected
-    traces = None
     if r_eff > 0:
-        reduced, new_index, new_affected, traces = [], [], [], []
+        reduced, new_index, new_affected = [], [], []
         for i in range(b):
             x_red, trace = apply_reduce(x_local[i], x_local[i], method, r_eff)
             touched_local = np.zeros(n_local, dtype=bool)
@@ -130,7 +126,6 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
             new_affected.append(affected[i] | touched_local[index[i]])
             new_index.append(update_index(index[i], trace))
             reduced.append(x_red)
-            traces.append(trace)
         x_local = np.stack(reduced)
         index = np.stack(new_index)
         affected = np.stack(new_affected)
@@ -148,7 +143,7 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
     x_local = f_mlp
 
     return HighwayState(x_full=x_full, x_local=x_local, index=index,
-                        affected=affected, last_traces=traces)
+                        affected=affected)
 
 
 def _distribute_add(x_full: np.ndarray, f_local: np.ndarray, index: np.ndarray,

@@ -1,8 +1,9 @@
 """Functional linearity: how close a map stays to linear along input paths.
 
-Walk a straight line between two inputs, push every sample through the map
-f, and compare the straight-line distance between the endpoint outputs with
-the length of the sampled output path. A perfectly affine map scores 1; the
+Walk a straight line between two inputs, push the stacked samples through
+the map f in one call (f maps rows, (..., C) -> (..., D)), and compare the
+straight-line distance between the first and last output rows with the
+length of the sampled output path. A perfectly affine map scores 1; the
 score can never exceed 1 (triangle inequality) and drops toward 0 as the
 output path folds back on itself. profile_model scores every layer's MLP on
 pairs of that layer's inputs, chosen by bipartite matching on its keys.
@@ -33,6 +34,8 @@ class FlConfig:
     def __post_init__(self):
         if self.n_steps < 3:
             raise ValueError(f"n_steps must be >= 3, got {self.n_steps}")
+        if self.pair_r < 0:
+            raise ValueError(f"pair_r must be >= 0, got {self.pair_r}")
         if self.layer_selector not in ("mlp", "block_mlp"):
             raise ValueError(f"unknown layer selector {self.layer_selector!r}")
 
@@ -62,53 +65,57 @@ class FlReport:
         return json.dumps(rows, indent=2, sort_keys=True)
 
 
-def interpolate(x1: np.ndarray, x2: np.ndarray, t: float) -> np.ndarray:
-    """Convex combination (1 - t) * x1 + t * x2."""
+def interpolate(x1: np.ndarray, x2: np.ndarray,
+                t: float | np.ndarray) -> np.ndarray:
+    """Convex combinations (1 - t) * x1 + t * x2, one per entry of t.
+
+    A scalar t gives one point shaped like x1; an array t gives t.shape +
+    x1.shape, bitwise equal to the scalar calls, in one broadcast.
+    """
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.shape != x2.shape:
         raise ValueError(f"interpolation endpoints differ: {x1.shape} vs {x2.shape}")
+    t = np.asarray(t, dtype=np.float64)
+    t = t.reshape(t.shape + (1,) * x1.ndim)
     return (1.0 - t) * x1 + t * x2
 
 
-def path_length(f: Callable[[np.ndarray], np.ndarray], x1: np.ndarray,
-                x2: np.ndarray, n_steps: int = 21) -> float:
-    """Length of f's output polyline over an even sampling of [x1, x2].
+def path_length(y: np.ndarray) -> float:
+    """Length of the polyline through the rows of y, an (n, D) sampled output.
 
-    Sums the n_steps - 1 finite differences ||f(X(t_i)) - f(X(t_{i-1}))||
-    with t_i = i / (n_steps - 1). Compensated summation keeps the result
-    independent of accumulation order.
+    Sums the n - 1 finite differences ||y[i] - y[i-1]||. Compensated
+    summation keeps the result independent of accumulation order.
     """
-    if n_steps < 3:
-        raise ValueError(f"n_steps must be >= 3, got {n_steps}")
-    dt = 1.0 / (n_steps - 1)
-    prev = np.asarray(f(interpolate(x1, x2, 0.0)), dtype=np.float64)
-    deltas = []
-    for i in range(1, n_steps):
-        cur = np.asarray(f(interpolate(x1, x2, i * dt)), dtype=np.float64)
-        if cur.shape != prev.shape:
-            raise ValueError(
-                f"f changed output shape along the path: {prev.shape} -> {cur.shape}")
-        deltas.append(float(np.linalg.norm(cur - prev)))
-        prev = cur
-    return math.fsum(deltas)
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2:
+        raise ValueError(f"path_length needs (n, D) rows, got {y.shape}")
+    return math.fsum(np.linalg.norm(np.diff(y, axis=0), axis=1).tolist())
 
 
 def functional_linearity(f: Callable[[np.ndarray], np.ndarray], x1: np.ndarray,
                          x2: np.ndarray, n_steps: int = 21) -> float | None:
     """Chord length over path length of f between x1 and x2; None if undefined.
 
-    Lies in [0, 1] whenever defined. A path shorter than UNDEFINED_PATH_EPS
+    f maps rows, (..., C) -> (..., D), and is called once, on the n_steps
+    evenly spaced points t_i = i / (n_steps - 1) of the segment stacked as
+    (n_steps, C); the chord joins the first and last output rows. Lies in
+    [0, 1] whenever defined. A path shorter than UNDEFINED_PATH_EPS
     (coincident endpoints, constant map) has no meaningful ratio and is
     reported as None rather than NaN.
     """
-    path = path_length(f, x1, x2, n_steps)
+    if n_steps < 3:
+        raise ValueError(f"n_steps must be >= 3, got {n_steps}")
+    y = np.asarray(f(interpolate(x1, x2, np.linspace(0.0, 1.0, n_steps))),
+                   dtype=np.float64)
+    if y.ndim != 2 or y.shape[0] != n_steps:
+        raise ValueError(
+            f"f must map the {n_steps} path samples to ({n_steps}, D) rows, "
+            f"got {y.shape}")
+    path = path_length(y)
     if path < UNDEFINED_PATH_EPS:
         return None
-    chord = float(np.linalg.norm(
-        np.asarray(f(np.asarray(x1, dtype=np.float64)), dtype=np.float64)
-        - np.asarray(f(np.asarray(x2, dtype=np.float64)), dtype=np.float64)))
-    return chord / path
+    return float(np.linalg.norm(y[-1] - y[0])) / path
 
 
 def _aggregate(layer: int, values: list[float]) -> FlLayerStats:

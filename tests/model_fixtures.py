@@ -1,12 +1,15 @@
-"""Hand-built models with exactly known sub-map behavior."""
+"""Hand-built models with exactly known sub-map behavior, and a recorder of
+the highway path's reduces."""
 
+import contextlib
 import json
 import pathlib
 import struct
 
 import numpy as np
+import pytest
 
-from tofu import vit
+from tofu import highway, vit
 
 
 def identity_mlp_model(depth=2, channels=4, heads=2, seed=0):
@@ -35,3 +38,20 @@ def rewrite_tfw_config(path, config, **changes) -> None:
     assert blob.endswith(old)
     new = json.dumps(dict(config.to_dict(), **changes), sort_keys=True).encode()
     path.write_bytes(blob[: -4 - len(old)] + struct.pack("<I", len(new)) + new)
+
+
+@contextlib.contextmanager
+def recorded_highway_reduces():
+    """Collect the trace of every apply_reduce that tofu.highway makes inside
+    the block, by rebinding the module's apply_reduce to a recorder."""
+    traces = []
+    original = highway.apply_reduce
+
+    def recorder(*args, **kwargs):
+        out = original(*args, **kwargs)
+        traces.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(highway, "apply_reduce", recorder)
+        yield traces

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from model_fixtures import recorded_highway_reduces
 from oracles import brute_force_select, cosine, naive_highway, token_decay
 from tofu import highway, linearity, vit
 from tofu.fusion import (
@@ -163,7 +164,7 @@ def test_fl_metric():
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal(3)
         x1, x2 = rng.standard_normal((2, 3))
-        fl = linearity.functional_linearity(lambda v: a @ v + b, x1, x2, 21)
+        fl = linearity.functional_linearity(lambda v: v @ a.T + b, x1, x2, 21)
         if fl is not None:
             assert abs(fl - 1.0) <= 1e-6
 
@@ -176,7 +177,7 @@ def test_fl_metric():
         a2 = rng.standard_normal((3, 3))
         x1, x2 = rng.standard_normal((2, 3)) * 2.0
         fl = linearity.functional_linearity(
-            lambda v: a2 @ np.tanh(a1 @ v), x1, x2, 21)
+            lambda v: np.tanh(v @ a1.T) @ a2.T, x1, x2, 21)
         if fl is None:
             continue
         assert 0.0 <= fl <= 1.0 + 1e-6
@@ -222,8 +223,9 @@ def test_highway_consistency():
             state = highway.init_state(x)
             traces_per_block = []
             for l, w in enumerate(model.blocks):
-                state = highway.highway_block(state, w, heads, methods[l], spec.r)
-                traces_per_block.append(state.last_traces)
+                with recorded_highway_reduces() as traces:
+                    state = highway.highway_block(state, w, heads, methods[l], spec.r)
+                traces_per_block.append(traces or None)
 
             ref_full, ref_local = naive_highway(
                 x, model, [m.value for m in methods], traces_per_block)

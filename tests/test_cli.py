@@ -129,6 +129,11 @@ class TestFl:
         assert run_cli_usage_error("fl", "--model", wpath, "--tokens", tpath,
                                    "--steps", "2") == 2
 
+    def test_negative_r_is_usage_error(self, tmp_path):
+        wpath, tpath = self.make_fixture(tmp_path)
+        assert run_cli_usage_error("fl", "--model", wpath, "--tokens", tpath,
+                                   "--r", "-3") == 2
+
     def test_deterministic_across_runs(self, tmp_path):
         wpath, tpath = self.make_fixture(tmp_path)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -172,6 +177,18 @@ class TestFlops:
         text = out.read_text()
         assert text.count("\n") == 1  # compact: one line
         assert cli._dump_json(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("command", [
+    ["flops"], ["bench"], ["gen", "--out-weights", "m.tfw"]])
+@pytest.mark.parametrize("override", [["--image", "0"], ["--patch", "0"]])
+def test_zero_image_or_patch_is_runtime_error(command, override, tmp_path,
+                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command[0], "--arch", "vit-tiny", *override, *command[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 class TestBench:

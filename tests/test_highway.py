@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_fixtures import recorded_highway_reduces
 from oracles import naive_highway
 from tofu import highway, vit
 from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, layer_methods
@@ -141,9 +142,10 @@ class TestHighwayBlocks:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 8, 8)).astype(np.float32)
         state = highway.init_state(x)
-        state = highway.highway_block(
-            state, model.blocks[0], 2, MergeMethod.AVERAGE, 1)
-        trace = state.last_traces[0]
+        with recorded_highway_reduces() as traces:
+            state = highway.highway_block(
+                state, model.blocks[0], 2, MergeMethod.AVERAGE, 1)
+        trace = traces[0]
         s = int(trace.match.idx_src[0])
         d = int(trace.match.idx_dst[0])
         # both positions resolve to one local row, so they are handed the
@@ -168,8 +170,9 @@ class TestHighwayBlocks:
         state = highway.init_state(x)
         traces_per_block = []
         for l, w in enumerate(model.blocks):
-            state = highway.highway_block(state, w, 2, methods[l], spec.r)
-            traces_per_block.append(state.last_traces)
+            with recorded_highway_reduces() as traces:
+                state = highway.highway_block(state, w, 2, methods[l], spec.r)
+            traces_per_block.append(traces or None)
 
         ref_full, ref_local = naive_highway(
             x, model, [m.value for m in methods], traces_per_block)
@@ -195,9 +198,10 @@ class TestHighwayBlocks:
         state = highway.init_state(x)
         traces_per_block = []
         for l, w in enumerate(model.blocks):
-            state = highway.highway_block(
-                state, w, 2, MergeMethod.AVERAGE, 2, mbm)
-            traces_per_block.append(state.last_traces)
+            with recorded_highway_reduces() as traces:
+                state = highway.highway_block(
+                    state, w, 2, MergeMethod.AVERAGE, 2, mbm)
+            traces_per_block.append(traces or None)
         ref_full, _ = naive_highway(x, model, ["average", "average"],
                                     traces_per_block, mbm_enabled=True, mbm_t=0.5)
         assert np.allclose(state.x_full, ref_full, rtol=1e-6, atol=1e-6)

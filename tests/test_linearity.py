@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,15 +32,28 @@ def test_interpolate_length_mismatch():
         interpolate(np.zeros(2), np.zeros(3), 0.5)
 
 
+def test_interpolate_array_t_matches_scalar_calls():
+    rng = np.random.default_rng(0)
+    x1, x2 = rng.standard_normal((2, 5))
+    ts = np.concatenate([np.linspace(0.0, 1.0, 21), rng.random(7)])
+    rows = interpolate(x1, x2, ts)
+    assert rows.shape == (len(ts), 5)
+    expected = np.stack([interpolate(x1, x2, float(t)) for t in ts])
+    assert rows.tobytes() == expected.tobytes()
+
+
+def _samples(x1, x2, steps):
+    return interpolate(x1, x2, np.linspace(0.0, 1.0, steps))
+
+
 def test_path_length_identity_is_segment_length():
     for steps in (3, 11, 21):
-        out = path_length(lambda v: v, np.array([0.0, 0.0]),
-                          np.array([3.0, 4.0]), steps)
+        out = path_length(_samples([0.0, 0.0], [3.0, 4.0], steps))
         assert out == pytest.approx(5.0, abs=1e-12)
 
 
 def test_path_length_abs_v_shape():
-    out = path_length(lambda v: np.abs(v), np.array([-1.0]), np.array([1.0]), 21)
+    out = path_length(np.abs(_samples([-1.0], [1.0], 21)))
     assert out == pytest.approx(2.0, abs=1e-12)
 
 
@@ -46,18 +61,25 @@ def test_path_length_coincident_endpoints():
     x = np.array([0.7, -0.3])
     # convex-combination rounding can leave a few ulps; stays far below the
     # undefined-FL threshold
-    assert path_length(lambda v: v * 2.0, x, x.copy(), 11) < 1e-12
+    assert path_length(2.0 * _samples(x, x.copy(), 11)) < 1e-12
 
 
-def test_path_length_rejects_shape_changing_maps():
-    calls = []
-
-    def f(v):
-        calls.append(1)
-        return v if len(calls) < 3 else np.concatenate([v, v])
-
+def test_path_length_needs_rows():
     with pytest.raises(ValueError):
-        path_length(f, np.zeros(2), np.ones(2), 5)
+        path_length(np.zeros(5))
+
+
+def test_fl_rejects_maps_without_one_row_per_sample():
+    bad_maps = [
+        lambda v: v[:-1],  # drops a sample
+        lambda v: np.concatenate([v, v]),
+        lambda v: v.reshape(-1),  # flattens the rows
+        lambda v: v[None],  # adds an axis
+        lambda v: v.sum(),
+    ]
+    for f in bad_maps:
+        with pytest.raises(ValueError):
+            functional_linearity(f, np.zeros(2), np.ones(2), 5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,7 +91,7 @@ def test_fl_affine_is_one(seed):
     x1, x2 = rng.standard_normal((2, 4))
     if np.allclose(a @ x1, a @ x2):
         return
-    fl = functional_linearity(lambda v: a @ v + b, x1, x2, 21)
+    fl = functional_linearity(lambda v: v @ a.T + b, x1, x2, 21)
     assert fl == pytest.approx(1.0, abs=1e-6)
 
 
@@ -88,7 +110,7 @@ def _tanh_net(seed, dim=4):
     rng = np.random.default_rng(seed)
     a1 = rng.standard_normal((dim, dim))
     a2 = rng.standard_normal((dim, dim))
-    return lambda v: a2 @ np.tanh(a1 @ v)
+    return lambda v: np.tanh(v @ a1.T) @ a2.T
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,7 +131,7 @@ def test_fl_invariant_under_orthogonal_output_transform(seed):
     f = _tanh_net(seed)
     x1, x2 = rng.standard_normal((2, 4)) * 2.0
     base = functional_linearity(f, x1, x2, 21)
-    rotated = functional_linearity(lambda v: q @ f(v), x1, x2, 21)
+    rotated = functional_linearity(lambda v: f(v) @ q.T, x1, x2, 21)
     if base is None:
         assert rotated is None
     else:
@@ -142,9 +164,33 @@ def test_fl_refinement_never_raises_it(seed):
         assert fine <= coarse + 1e-3
 
 
+def _per_sample_fl(f, x1, x2, steps):
+    """Reference: one map call per sample, chord from two more calls."""
+    pts = [np.asarray(f(interpolate(x1, x2, i / (steps - 1))), dtype=np.float64)
+           for i in range(steps)]
+    path = math.fsum(float(np.linalg.norm(b - a)) for a, b in zip(pts, pts[1:]))
+    chord = float(np.linalg.norm(np.asarray(f(x2), dtype=np.float64)
+                                 - np.asarray(f(x1), dtype=np.float64)))
+    return chord / path
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), steps=st.sampled_from([3, 11, 21, 41]))
+def test_fl_matches_per_sample_loop(seed, steps):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 4))
+    b = rng.standard_normal(4)
+    x1, x2 = rng.standard_normal((2, 4)) * 2.0
+    for f in (_tanh_net(seed), lambda v: np.abs(v @ a.T + b)):
+        assert functional_linearity(f, x1, x2, steps) == pytest.approx(
+            _per_sample_fl(f, x1, x2, steps), abs=1e-12)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FlConfig(n_steps=2)
+    with pytest.raises(ValueError):
+        FlConfig(pair_r=-1)
     with pytest.raises(ValueError):
         FlConfig(layer_selector="nope")
 
@@ -171,6 +217,28 @@ def test_profile_values_in_range_and_deterministic():
     for stats in r1.layers:
         assert stats.count > 0
         assert 0.0 <= stats.mean_fl <= 1.0 + 1e-6
+
+
+def test_profile_maps_each_pair_in_one_call(monkeypatch):
+    cfg = vit.VitConfig(depth=3, channels=8, heads=2, patch=16, image=64,
+                        cls_token=True)
+    model = vit.random_model(cfg, 3)
+    tokens = np.random.default_rng(4).standard_normal(
+        (2, cfg.n_tokens, 8)).astype(np.float32)
+    calls = []
+    mlp_map = vit.mlp_map
+
+    def counting(v, w):
+        calls.append(np.shape(v))
+        return mlp_map(v, w)
+
+    monkeypatch.setattr(vit, "mlp_map", counting)
+    linearity.profile_model(model, tokens, FlConfig(pair_r=5))
+    pairs = tokens.shape[0] * 5
+    # per layer: one call per probed pair, on its stacked path samples, and
+    # one to advance the stack
+    assert len(calls) == cfg.depth * (pairs + 1)
+    assert calls.count((21, 8)) == cfg.depth * pairs
 
 
 def test_profile_no_pairs_reports_count_zero():
