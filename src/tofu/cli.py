@@ -132,10 +132,10 @@ def cmd_reduce(args) -> int:
     if squeeze:
         x = x[None]
         metric = metric[None] if metric.ndim == 2 else metric
-    if x.ndim != 3 or metric.shape[:2] != x.shape[:2]:
+    if x.ndim != 3 or not len(x) or metric.shape[:2] != x.shape[:2]:
         raise FormatError(
-            f"input {x.shape} and metric {metric.shape} must be matching "
-            "(B, N, C) or (N, C) tensors")
+            f"{args.input}: input {x.shape} and metric {metric.shape} must be "
+            "matching (N, C) or (B >= 1, N, C) tensors")
     method = fusion.MergeMethod(args.method)
     items = [fusion.apply_reduce(x[i], metric[i], method, args.r)
              for i in range(x.shape[0])]
@@ -153,6 +153,8 @@ def cmd_fl(args) -> int:
     tokens = read_ttf(args.tokens)
     if tokens.ndim == 2:
         tokens = tokens[None]
+    if len(tokens) == 0:
+        raise FormatError(f"{args.tokens}: token dump holds no sequences")
     cfg = linearity.FlConfig(n_steps=args.steps, pair_r=args.r,
                              layer_selector=args.selector)
     report = linearity.profile_model(model, tokens, cfg)
@@ -352,14 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least value of each count flag, on the commands that have it; OpenBLAS
+# would take --threads 0 as "use every core"
+_FLAG_MINIMUMS = {"threads": 1, "batch": 1, "steps": 3, "repeat": 3, "warmup": 1}
+
+
 def _validate(parser: argparse.ArgumentParser, args) -> None:
-    if args.command == "fl" and args.steps < 3:
-        parser.error("--steps must be at least 3")
+    for flag, least in _FLAG_MINIMUMS.items():
+        if getattr(args, flag, least) < least:
+            parser.error(f"--{flag} must be at least {least}")
     if args.command == "bench":
-        if args.repeat < 3:
-            parser.error("--repeat must be at least 3")
-        if args.warmup < 1:
-            parser.error("--warmup must be at least 1")
         known = set(_METHOD_CHOICES) | {"full"}
         for m in args.methods.split(","):
             if m.strip() and m.strip() not in known:

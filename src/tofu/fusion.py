@@ -12,6 +12,7 @@ Reduced output keeps a fixed row order: unchanged SRC tokens in ascending
 global index, then every DST token in ascending global index. A ReduceTrace
 records where each input row went, which is what unmerge and the highway
 path use to restore or redistribute full-length sequences.
+Merges recompute only touched destinations, in float64; the rest pass through.
 
 Every schedule is a string of 'P' (prune) and 'A' (late method), one
 character per layer; the hybrid d-threshold spec is compiled into one.
@@ -89,26 +90,28 @@ def merge_pruned(dst_rows: np.ndarray, src_rows: np.ndarray,
 
 
 def _group_mean(dst_rows: np.ndarray, src_rows: np.ndarray,
-                idx_dst_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 mean of {dst} union {its srcs} per destination row.
+                idx_dst_local: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Float64 mean of {dst} union {its srcs} for each touched destination.
 
-    Returns (means, touched mask). Rows with no scattered source keep their
-    original value exactly.
+    Returns (touched, slot, rows, means): touched destinations ascending,
+    each source's position in touched, the float64 [touched dst; src] rows
+    and one mean per touched destination.
     """
-    acc = dst_rows.astype(np.float64)
-    counts = np.ones(len(dst_rows))
-    np.add.at(acc, idx_dst_local, src_rows.astype(np.float64))
-    np.add.at(counts, idx_dst_local, 1.0)
-    touched = counts > 1.0
-    return acc / counts[:, None], touched
+    sizes = np.bincount(idx_dst_local, minlength=len(dst_rows))
+    touched = np.flatnonzero(sizes)
+    slot = np.searchsorted(touched, idx_dst_local)
+    rows = np.concatenate([dst_rows[touched], src_rows], dtype=np.float64)
+    acc = rows[:len(touched)].copy()
+    np.add.at(acc, slot, rows[len(touched):])
+    return touched, slot, rows, acc / (sizes[touched] + 1.0)[:, None]
 
 
 def merge_average(dst_rows: np.ndarray, src_rows: np.ndarray,
                   idx_dst_local: np.ndarray) -> np.ndarray:
     """Scatter-mean the sources into their destinations, dst value included."""
-    means, touched = _group_mean(dst_rows, src_rows, idx_dst_local)
+    touched, _, _, means = _group_mean(dst_rows, src_rows, idx_dst_local)
     out = dst_rows.copy()
-    out[touched] = means[touched].astype(FLOAT)
+    out[touched] = means.astype(FLOAT)
     return out
 
 
@@ -120,20 +123,19 @@ def merge_mlerp(dst_rows: np.ndarray, src_rows: np.ndarray,
     be given a direction; it falls back to the plain mean (a near-zero row)
     and raises the degenerate flag instead of erroring mid-inference.
     """
-    means, touched = _group_mean(dst_rows, src_rows, idx_dst_local)
-    norm_max = np.sqrt((dst_rows.astype(np.float64) ** 2).sum(axis=1))
-    src_norms = np.sqrt((src_rows.astype(np.float64) ** 2).sum(axis=1))
-    np.maximum.at(norm_max, idx_dst_local, src_norms)
+    touched, slot, rows, means = _group_mean(dst_rows, src_rows, idx_dst_local)
+    norms = np.sqrt((rows ** 2).sum(axis=1))
+    norm_max = norms[:len(touched)]
+    np.maximum.at(norm_max, slot, norms[len(touched):])
     mean_norms = np.sqrt((means ** 2).sum(axis=1))
 
-    degenerate = touched & (mean_norms < MLERP_DEGENERATE_EPS)
+    degenerate = mean_norms < MLERP_DEGENERATE_EPS
     # scale/norm first: merging k copies of v yields factor 1.0 and therefore
     # v exactly; a degenerate group keeps factor 1.0, i.e. its plain mean
-    scale = np.ones(len(dst_rows))
-    ok = touched & ~degenerate
-    scale[ok] = norm_max[ok] / mean_norms[ok]
+    scale = np.divide(norm_max, mean_norms, out=np.ones_like(norm_max),
+                      where=~degenerate)
     out = dst_rows.copy()
-    out[touched] = (means[touched] * scale[touched, None]).astype(FLOAT)
+    out[touched] = (means * scale[:, None]).astype(FLOAT)
     return out, bool(degenerate.any())
 
 
@@ -149,18 +151,17 @@ def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
     x = np.asarray(x, dtype=FLOAT)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"apply_reduce needs an (N>=2, C) slice, got {x.shape}")
-    if metric.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"metric covers {metric.shape[0]} tokens but x has {x.shape[0]}")
 
     p = partition(x.shape[0])
     match = bipartite_soft_match(metric, p, r)
 
-    selected = np.isin(p.src, match.idx_src)
-    unchanged = p.src[~selected]
-    dst_rows = x[p.dst]
+    # SRC/DST are the odd/even rows, so global index >> 1 is the local one
+    keep = np.ones(len(p.src), dtype=bool)
+    keep[match.idx_src >> 1] = False
+    unchanged = p.src[keep]
+    dst_rows = x[0::2]
     src_rows = x[match.idx_src]
-    idx_dst_local = np.searchsorted(p.dst, match.idx_dst)
+    idx_dst_local = match.idx_dst >> 1
 
     degenerate = False
     if method is MergeMethod.PRUNED:
@@ -176,7 +177,7 @@ def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
 
     out_map = np.empty(x.shape[0], dtype=np.int64)
     out_map[unchanged] = np.arange(len(unchanged))
-    out_map[p.dst] = len(unchanged) + np.arange(len(p.dst))
+    out_map[0::2] = np.arange(len(unchanged), len(reduced))
     out_map[match.idx_src] = out_map[match.idx_dst]
     return reduced, ReduceTrace(match, out_map, mlerp_degenerate=degenerate)
 

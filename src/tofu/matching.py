@@ -1,14 +1,15 @@
 """Bipartite soft matching over a token sequence.
 
 Tokens are split into two disjoint sets by global index: destinations (DST)
-take the even positions, sources (SRC) the odd ones. Matching keeps, for
-every SRC token, only its single most similar DST partner, then selects the
-r SRC tokens whose best edge scores highest. Nothing protects a class
-token. At position 0 it is a destination, but reduced rows come out as
-[unmatched sources, destinations], so on a sequence that stays reduced
-(before-MLP placement, the highway local path) it is a destination only in
-the first reduce; later reduces find it at another row and may match it as
-a source.
+take the even positions, sources (SRC) the odd ones, so both are strided
+views of the metric and index >> 1 is a token's position in its set.
+Matching keeps, for every SRC token, only its single most similar DST
+partner, then selects the r SRC tokens whose best edge scores highest.
+Nothing protects a class token. At position 0 it is a destination, but
+reduced rows come out as [unmatched sources, destinations], so on a
+sequence that stays reduced (before-MLP placement, the highway local path)
+it is a destination only in the first reduce; later reduces find it at
+another row and may match it as a source.
 
 Scores are cosine similarities computed in float64 so that rankings are
 deterministic; ties break toward the lower global SRC index, then the lower
@@ -61,21 +62,24 @@ def partition(n_tokens: int) -> Partition:
 def similarity_matrix(metric: np.ndarray, p: Partition) -> np.ndarray:
     """Cosine similarity of every SRC row against every DST row.
 
-    metric is an (N, C) slice indexed by global token position. Zero-norm
-    rows get similarity -1 to every partner so degenerate tokens sort last.
-    Returned matrix is float64, shape (|SRC|, |DST|).
+    metric is an (N, C) slice indexed by global token position, and p is
+    its alternating partition. Zero-norm rows get similarity -1 to every
+    partner so degenerate tokens sort last; the masking runs only when such
+    a row exists. Returned matrix is float64, shape (|SRC|, |DST|).
     """
     m = np.asarray(metric, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != p.n_tokens:
         raise ValueError(
             f"metric shape {m.shape} does not cover {p.n_tokens} tokens")
     norms = np.sqrt((m * m).sum(axis=1))
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    unit = m / safe[:, None]
-    sims = unit[p.src] @ unit[p.dst].T
-    sims[zero[p.src], :] = -1.0
-    sims[:, zero[p.dst]] = -1.0
+    zero = None if norms.all() else norms == 0.0
+    if zero is not None:
+        norms[zero] = 1.0
+    unit = m / norms[:, None]
+    sims = unit[1::2] @ unit[0::2].T  # SRC rows against DST rows, as views
+    if zero is not None:
+        sims[zero[1::2]] = -1.0
+        sims[:, zero[0::2]] = -1.0
     return sims
 
 
@@ -89,11 +93,6 @@ def bipartite_soft_match(metric: np.ndarray, p: Partition, r: int) -> MatchResul
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     clamped = r > len(p.src)
-    r = min(r, len(p.src))
-    empty = np.empty(0, dtype=np.int64)
-    if r == 0:
-        return MatchResult(p, empty, empty, np.empty(0), clamped=clamped)
-
     sims = similarity_matrix(metric, p)
     # argmax returns the first maximum; DST is ascending, so ties already
     # resolve to the lower global DST index
@@ -103,8 +102,8 @@ def bipartite_soft_match(metric: np.ndarray, p: Partition, r: int) -> MatchResul
     order = np.argsort(-best_score, kind="stable")[:r]
     return MatchResult(
         partition=p,
-        idx_src=p.src[order].astype(np.int64),
-        idx_dst=p.dst[best_dst_pos[order]].astype(np.int64),
+        idx_src=p.src[order],
+        idx_dst=p.dst[best_dst_pos[order]],
         scores=best_score[order],
         clamped=clamped,
     )

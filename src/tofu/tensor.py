@@ -38,11 +38,6 @@ class TruncatedError(FormatError):
         self.offset = offset
 
 
-def as_float(x) -> np.ndarray:
-    """Coerce to a contiguous float32 array without copying when possible."""
-    return np.ascontiguousarray(x, dtype=FLOAT)
-
-
 def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} contains non-finite entries")
@@ -133,7 +128,8 @@ def write_ttf(path: str, x: np.ndarray) -> None:
     Layout: magic "TTF1", u8 ndim, ndim little-endian u32 dims, then the
     row-major float32 payload, little-endian.
     """
-    x = as_float(x)
+    # the payload as written; no copy for contiguous little-endian float32
+    x = np.ascontiguousarray(x, dtype="<f4")
     check_finite(x, "TTF1 payload")
     if x.ndim > 255:
         raise ShapeError("TTF1 supports at most 255 dimensions")
@@ -142,7 +138,7 @@ def write_ttf(path: str, x: np.ndarray) -> None:
         fh.write(struct.pack("<B", x.ndim))
         for d in x.shape:
             fh.write(struct.pack("<I", d))
-        fh.write(x.astype("<f4").tobytes())
+        fh.write(x.data)
 
 
 def read_ttf(path: str) -> np.ndarray:

@@ -101,6 +101,16 @@ class TestReduce:
                        "--out", str(tmp_path / "o.ttf")) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_empty_dump_is_runtime_error(self, tmp_path, capsys):
+        xp, out = tmp_path / "empty.ttf", tmp_path / "o.ttf"
+        write_ttf(str(xp), np.zeros((0, 8, 4), dtype=np.float32))
+        assert run_cli("reduce", "--input", str(xp), "--r", "1",
+                       "--method", "pruned", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(xp) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFl:
     def make_fixture(self, tmp_path):
@@ -149,6 +159,17 @@ class TestFl:
         assert err.startswith("error:") and "heads" in err
         assert "Traceback" not in err
 
+    def test_empty_dump_is_runtime_error(self, tmp_path, capsys):
+        wpath, _ = self.make_fixture(tmp_path)
+        tpath, out = tmp_path / "empty.ttf", tmp_path / "fl.json"
+        write_ttf(str(tpath), np.zeros((0, 8, 4), dtype=np.float32))
+        assert run_cli("fl", "--model", wpath, "--tokens", str(tpath),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tpath) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFlops:
     def test_vitb16_full(self, tmp_path, capsys):
@@ -188,6 +209,15 @@ def test_zero_image_or_patch_is_runtime_error(command, override, tmp_path,
     assert run_cli(command[0], "--arch", "vit-tiny", *override, *command[1:]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["gen", "--out-weights", "m.tfw"], ["bench"]])
+@pytest.mark.parametrize("batch", ["0", "-1"])
+def test_batch_below_one_is_usage_error(command, batch, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli_usage_error(command[0], "--arch", "vit-tiny", "--batch", batch,
+                               *command[1:]) == 2
     assert not any(tmp_path.iterdir())
 
 
@@ -285,6 +315,12 @@ def test_threads_flag_sets_openblas_count(n):
     inside, after = map(int, out[-2:])
     assert inside == n
     assert after == start
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_threads_below_one_is_usage_error(n):
+    # OpenBLAS would take these as "use every core"
+    assert run_cli_usage_error("--threads", n, "flops", "--arch", "vit-tiny") == 2
 
 
 def test_threads_flag_warns_when_nothing_can_apply_it(monkeypatch, caplog):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import group_mean, group_mlerp, token_decay
-from tofu import fusion
+from oracles import (brute_force_match, brute_force_select, group_mean,
+                     group_mlerp, replay_reduce, token_decay)
+from tofu import fusion, matching
 from tofu.fusion import MergeMethod, ReduceSpec
 
 FOUR_TOKENS = np.array(
@@ -53,6 +54,46 @@ class TestApplyReduce:
             fusion.apply_reduce(np.zeros((1, 3), dtype=np.float32),
                                 np.zeros((1, 3), dtype=np.float32),
                                 MergeMethod.PRUNED, 0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(2, 40), c=st.integers(1, 8),
+           n_zero=st.integers(0, 4), n_dup=st.integers(0, 4),
+           group=st.integers(0, 5), method=st.sampled_from(list(MergeMethod)))
+    def test_matches_brute_force_and_replay(self, seed, n, c, n_zero, n_dup,
+                                            group, method):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c)).astype(np.float32)
+        # the first sources sit close to DST 0, so several can merge into it
+        near = x[1::2][:group]
+        near[:] = x[0] + 0.01 * rng.standard_normal(near.shape)
+        x[rng.integers(0, n, n_dup)] = x[rng.integers(0, n, n_dup)]
+        x[rng.integers(0, n, n_zero)] = 0.0
+        r = int(rng.integers(0, n // 2 + 2))
+
+        reduced, trace = fusion.apply_reduce(x, x, method, r)
+        m = trace.match
+        p = matching.partition(n)
+        # the selection rule on the program's own similarities, exactly; the
+        # selected scores against scalar cosines, which tie order cannot move
+        sims = matching.similarity_matrix(x, p)
+        exp_src, exp_dst, _ = brute_force_select(sims, p.src, p.dst, r)
+        assert m.idx_src.tolist() == exp_src
+        assert m.idx_dst.tolist() == exp_dst
+        _, _, exp_scores = brute_force_match(x, p.src, p.dst, r)
+        np.testing.assert_allclose(m.scores, exp_scores, rtol=0, atol=1e-12)
+
+        rows, step = replay_reduce(x, m, method.value)
+        assert trace.output_index_of_input.tolist() == [step[i] for i in range(n)]
+        fused = set()
+        if method is not MergeMethod.PRUNED:
+            fused = set(trace.output_index_of_input[m.idx_dst].tolist())
+        assert reduced.shape == rows.shape
+        for i, (got, want) in enumerate(zip(reduced, rows)):
+            if i in fused:
+                np.testing.assert_allclose(got, want, rtol=1e-6,
+                                           atol=1e-6 * np.abs(want).max())
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 class TestMergeKernels:
