@@ -370,6 +370,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                 parser.error(f"unknown method {m.strip()!r}")
     if args.command in ("reduce", "fl", "flops", "bench") and args.r < 0:
         parser.error("--r must be non-negative")
+    if args.command == "bench" and not args.mbm_t >= 0:
+        parser.error("--mbm-t must be a non-negative number")
 
 
 def main(argv=None) -> int:

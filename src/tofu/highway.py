@@ -27,7 +27,7 @@ class MbmConfig:
     enabled: bool = False
 
     def __post_init__(self):
-        if self.t < 0:
+        if not self.t >= 0:  # NaN too: no magnitude compares above it
             raise ValueError(f"MBM threshold must be >= 0, got {self.t}")
 
 

@@ -12,6 +12,7 @@ float32.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -39,7 +40,9 @@ class TruncatedError(FormatError):
 
 
 def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    # min and max carry a NaN through and show an infinity, without a mask
+    # the size of x
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise ValueError(f"{what} contains non-finite entries")
     return x
 
@@ -141,37 +144,44 @@ def write_ttf(path: str, x: np.ndarray) -> None:
         fh.write(x.data)
 
 
+def read_payload(fh, flat: np.ndarray, dims, what: str) -> np.ndarray:
+    """Fill flat, a 1-D little-endian float32 array with one entry per
+    element of dims, from an open binary file, and return it viewed as dims:
+    a writable float32 array, with no copy on a little-endian host.
+
+    More dims than numpy supports raise FormatError, a file that ends first
+    TruncatedError, non-finite entries ValueError.
+    """
+    try:
+        x = flat.reshape(dims)
+    except ValueError as exc:  # more dims than numpy supports
+        raise FormatError(f"{what} shape: {exc}") from exc
+    if fh.readinto(flat) != flat.nbytes:
+        raise TruncatedError(f"{what} cut short", fh.tell())
+    return check_finite(x.astype(FLOAT, copy=False), what)
+
+
 def read_ttf(path: str) -> np.ndarray:
     """Read a TTF1 file. Rejects bad magic, truncation, trailing bytes and
     more dims than numpy supports with FormatError, non-finite entries with
     ValueError."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != TTF_MAGIC:
-        raise FormatError(f"bad TTF1 magic: {blob[:4]!r}")
-    if len(blob) < 5:
-        raise TruncatedError("TTF1 header cut short", len(blob))
-    ndim = blob[4]
-    off = 5
-    dims = []
-    for _ in range(ndim):
-        if off + 4 > len(blob):
-            raise TruncatedError("TTF1 dim list cut short", len(blob))
-        dims.append(struct.unpack_from("<I", blob, off)[0])
-        off += 4
-    count = 1
-    for d in dims:
-        count *= d
-    end = off + 4 * count
-    if len(blob) < end:
-        raise TruncatedError("TTF1 payload cut short", len(blob))
-    if len(blob) > end:
-        raise FormatError(
-            f"TTF1 file has {len(blob) - end} trailing bytes after payload")
-    x = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-    try:
-        x = x.reshape(tuple(dims)).astype(FLOAT)
-    except ValueError as exc:  # more dims than numpy supports
-        raise FormatError(f"TTF1 shape: {exc}") from exc
-    check_finite(x, "TTF1 payload")
-    return x
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(5)
+        if head[:4] != TTF_MAGIC:
+            raise FormatError(f"bad TTF1 magic: {head[:4]!r}")
+        if len(head) < 5:
+            raise TruncatedError("TTF1 header cut short", size)
+        ndim = head[4]
+        dim_bytes = fh.read(4 * ndim)
+        if len(dim_bytes) < 4 * ndim:
+            raise TruncatedError("TTF1 dim list cut short", size)
+        dims = struct.unpack(f"<{ndim}I", dim_bytes)
+        count = math.prod(dims)
+        end = 5 + 4 * ndim + 4 * count
+        if size < end:
+            raise TruncatedError("TTF1 payload cut short", size)
+        if size > end:
+            raise FormatError(
+                f"TTF1 file has {size - end} trailing bytes after payload")
+        return read_payload(fh, np.empty(count, dtype="<f4"), dims, "TTF1 payload")

@@ -2,7 +2,10 @@
 
 Blocks are pre-norm attention + MLP with residuals, computed in float32 on
 plain numpy arrays. Images never enter here: token dumps are the input, so
-a model is just per-block weights plus a config. The reduce op sits either
+a model is just per-block weights plus a config. Every weight GEMM (qkv,
+proj, fc1, fc2) runs once over all B*N rows of a batch, and the MLP runs in
+blocks of MLP_BLOCK_ROWS rows, so a batch item's output can differ from the
+same item run alone by float32 rounding. The reduce op sits either
 before the MLP (classification style, keys drive the matching, sequences
 shrink layer by layer) or before the attention (generation style, raw
 features drive the matching and every block unmerges back to full length).
@@ -14,6 +17,8 @@ patch embedding, and ignores norms/softmax/head.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import tensor
 from .fusion import MergeMethod, ReduceSpec, ReduceTrace, apply_reduce, layer_methods, unmerge
-from .tensor import FLOAT, FormatError, ShapeError, TruncatedError, check_finite, layernorm
+from .tensor import FLOAT, FormatError, ShapeError, TruncatedError, layernorm, read_payload
 
 TFW_MAGIC = b"\x54\x46\x57\x31"
 
@@ -136,6 +141,8 @@ def attention(x: np.ndarray, w: BlockWeights, n_heads: int
               ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head self-attention over (B, N, C) tokens.
 
+    The qkv and output projections are each one GEMM over all B*N rows;
+    only the scores and their weighted sum are per item and head.
     Returns the projected output and the per-token keys averaged over heads,
     which downstream matching uses as its similarity metric.
     """
@@ -150,7 +157,7 @@ def attention(x: np.ndarray, w: BlockWeights, n_heads: int
             f"qkv weight {w.qkv_weight.shape} incompatible with C={c}")
     dh = c // n_heads
 
-    qkv = x @ w.qkv_weight  # (B, N, 3C)
+    qkv = x.reshape(b * n, c) @ w.qkv_weight  # (B*N, 3C)
     qkv += w.qkv_bias
     qkv = qkv.reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q, k, v = qkv[0], qkv[1], qkv[2]  # each (B, H, N, dh)
@@ -160,21 +167,35 @@ def attention(x: np.ndarray, w: BlockWeights, n_heads: int
     weights = tensor.softmax_rows(scores.reshape(b * n_heads * n, n))
     weights = weights.reshape(b, n_heads, n, n)
 
-    out = (weights @ v).transpose(0, 2, 1, 3).reshape(b, n, c)
+    out = (weights @ v).transpose(0, 2, 1, 3).reshape(b * n, c)
     out = out @ w.proj_weight
     out += w.proj_bias
     keys = k.mean(axis=1, dtype=np.float64).astype(FLOAT)  # (B, N, dh)
-    return out, keys
+    return out.reshape(b, n, c), keys
+
+
+# rows per MLP block: a block's (rows, hidden) activation stays in L2 cache
+# while gelu makes its passes over it (768 KB at hidden 768)
+MLP_BLOCK_ROWS = 256
 
 
 def mlp_map(v: np.ndarray, w: BlockWeights) -> np.ndarray:
-    """The block's MLP as a map over (..., C) rows: fc1 -> gelu -> fc2."""
+    """The block's MLP as a map over (..., C) rows: fc1 -> gelu -> fc2.
+
+    All leading axes are flattened into one set of rows, which runs
+    fc1 -> bias -> gelu -> fc2 -> bias in blocks of MLP_BLOCK_ROWS rows;
+    up to that many rows are one block.
+    """
     v = np.asarray(v, dtype=FLOAT)
-    h = v @ w.fc1_weight
-    h += w.fc1_bias
-    out = tensor.gelu(h) @ w.fc2_weight
-    out += w.fc2_bias
-    return out
+    rows = v.reshape(-1, v.shape[-1])
+    out = np.empty((rows.shape[0], w.fc2_weight.shape[1]), dtype=FLOAT)
+    for start in range(0, rows.shape[0], MLP_BLOCK_ROWS):
+        h = rows[start:start + MLP_BLOCK_ROWS] @ w.fc1_weight
+        h += w.fc1_bias
+        block = out[start:start + MLP_BLOCK_ROWS]
+        np.matmul(tensor.gelu(h), w.fc2_weight, out=block)
+        block += w.fc2_bias
+    return out.reshape(v.shape[:-1] + out.shape[-1:])
 
 
 def _effective_r(n: int, r: int) -> int:
@@ -429,46 +450,47 @@ def load_weights(path: str) -> VitModel:
     ValueError.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != TFW_MAGIC:
-        raise FormatError(f"bad TFW1 magic: {blob[:4]!r}")
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(4)
+        if magic != TFW_MAGIC:
+            raise FormatError(f"bad TFW1 magic: {magic!r}")
+        off = 4
 
-    off = 4
+        def need(nbytes: int, what: str) -> int:
+            """Claim the file's next nbytes, or raise if it ends first."""
+            nonlocal off
+            if off + nbytes > size:
+                raise TruncatedError(f"TFW1 {what} cut short", size)
+            off += nbytes
+            return nbytes
 
-    def need(nbytes: int, what: str):
-        nonlocal off
-        if off + nbytes > len(blob):
-            raise TruncatedError(f"TFW1 {what} cut short", len(blob))
-        start = off
-        off += nbytes
-        return blob[start:off]
-
-    (count,) = struct.unpack("<I", need(4, "tensor count"))
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", need(2, "name length"))
-        try:
-            name = need(name_len, "tensor name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"TFW1 tensor name at byte offset {off - name_len} is not UTF-8") from exc
-        (ndim,) = struct.unpack("<B", need(1, "ndim"))
-        dims = [struct.unpack("<I", need(4, "dims"))[0] for _ in range(ndim)]
-        n_items = 1
-        for d in dims:
-            n_items *= d
-        payload = need(4 * n_items, f"payload of {name}")
-        if name in tensors:
-            raise FormatError(f"duplicate tensor name {name!r}")
-        try:
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
-        except ValueError as exc:  # more dims than numpy supports
-            raise FormatError(f"TFW1 tensor {name!r}: {exc}") from exc
-        tensors[name] = check_finite(arr.astype(FLOAT), f"TFW1 tensor {name!r}")
-    (json_len,) = struct.unpack("<I", need(4, "config length"))
-    cfg_blob = need(json_len, "config blob")
-    if off != len(blob):
-        raise FormatError(f"TFW1 file has {len(blob) - off} trailing bytes")
+        (count,) = struct.unpack("<I", fh.read(need(4, "tensor count")))
+        # every payload is read into its own slice of one buffer: one
+        # allocation rather than one per tensor, and the payloads cannot
+        # hold more floats than the file has bytes / 4
+        pool = np.empty(size // 4, dtype="<f4")
+        used = 0
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", fh.read(need(2, "name length")))
+            try:
+                name = fh.read(need(name_len, "tensor name")).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"TFW1 tensor name at byte offset {off - name_len} is not UTF-8") from exc
+            (ndim,) = struct.unpack("<B", fh.read(need(1, "ndim")))
+            dims = struct.unpack(f"<{ndim}I", fh.read(need(4 * ndim, "dims")))
+            n_items = math.prod(dims)
+            need(4 * n_items, f"payload of {name}")
+            if name in tensors:
+                raise FormatError(f"duplicate tensor name {name!r}")
+            tensors[name] = read_payload(fh, pool[used:used + n_items], dims,
+                                         f"TFW1 tensor {name!r}")
+            used += n_items
+        (json_len,) = struct.unpack("<I", fh.read(need(4, "config length")))
+        cfg_blob = fh.read(need(json_len, "config blob"))
+    if off != size:
+        raise FormatError(f"TFW1 file has {size - off} trailing bytes")
 
     try:
         cfg = VitConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))

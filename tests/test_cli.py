@@ -261,6 +261,11 @@ class TestBench:
         assert run_cli_usage_error("bench", "--arch", "vit-tiny",
                                    "--repeat", "1") == 2
 
+    @pytest.mark.parametrize("t", ["-1", "nan"])
+    def test_negative_or_nan_mbm_threshold_is_usage_error(self, t):
+        assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--mode", "highway",
+                                   "--mbm", "--mbm-t", t) == 2
+
     def test_unknown_method_is_usage_error(self):
         assert run_cli_usage_error("bench", "--arch", "vit-tiny",
                                    "--methods", "full,quantum") == 2

@@ -179,6 +179,12 @@ class TestHighwayBlocks:
         assert np.allclose(state.x_full, ref_full, rtol=1e-6, atol=1e-6)
         assert np.allclose(state.x_local, ref_local, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("t", [-1.0, float("nan")])
+    def test_mbm_threshold_below_zero_or_nan_rejected(self, t):
+        # no magnitude compares above NaN, so that mask would never fire
+        with pytest.raises(ValueError, match="MBM threshold"):
+            MbmConfig(t=t, enabled=True)
+
     def test_mbm_infinite_threshold_is_bit_exact_noop(self):
         model = tiny_model(depth=3)
         rng = np.random.default_rng(4)

@@ -64,6 +64,44 @@ class TestAttention:
             vit.attention(rand_tokens(1, 3, 6), model.blocks[0], 2)
 
 
+def mlp_float64(v, w):
+    """fc1 -> tanh-gelu -> fc2 in float64, row by row."""
+    v = np.asarray(v, dtype=np.float64)
+    h = v @ w.fc1_weight.astype(np.float64) + w.fc1_bias
+    h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h ** 3)))
+    return h @ w.fc2_weight.astype(np.float64) + w.fc2_bias
+
+
+class TestDensePath:
+    # float32 GEMMs over C=16 and hidden=64 against float64, relative to the
+    # largest output entry
+    MLP_RTOL = 1e-5
+    # rows GEMM'd together or alone may round differently in float32
+    BATCH_RTOL = 1e-6
+
+    # (3, 100, 16) is 300 rows, more than one MLP block
+    @pytest.mark.parametrize("shape", [(3, 100, 16), (300, 16), (16,), (1, 1, 16)])
+    def test_mlp_map_matches_float64(self, shape):
+        w = tiny_model(channels=16, seed=4).blocks[0]
+        v = np.random.default_rng(8).standard_normal(shape).astype(np.float32)
+        out = vit.mlp_map(v, w)
+        ref = mlp_float64(v, w)
+        assert out.shape == ref.shape and out.dtype == np.float32
+        assert np.abs(out - ref).max() <= self.MLP_RTOL * np.abs(ref).max()
+
+    def test_batch_matches_per_item_calls(self):
+        w = tiny_model(channels=16, seed=5).blocks[0]
+        x = rand_tokens(3, 100, 16, seed=9)
+        assert 3 * 100 > vit.MLP_BLOCK_ROWS
+        out, keys = vit.attention(x, w, 2)
+        mlp = vit.mlp_map(x, w)
+        for i in range(len(x)):
+            item_out, item_keys = vit.attention(x[i:i + 1], w, 2)
+            for got, alone in ((out[i], item_out[0]), (keys[i], item_keys[0]),
+                               (mlp[i], vit.mlp_map(x[i], w))):
+                assert np.abs(got - alone).max() <= self.BATCH_RTOL * np.abs(alone).max()
+
+
 def plain_block(x, w, heads):
     x_star = x + vit.attention(
         layernorm(x, w.norm1_gamma, w.norm1_beta), w, heads)[0]
@@ -106,16 +144,17 @@ class TestBlockForward:
         model = tiny_model()
         w = model.blocks[0]
         weights = {f: getattr(w, f).copy() for f in vars(w)}
-        x = rand_tokens(2, 9, 8, seed=14)
-        x_before = x.copy()
-        vit.attention(x, w, 2)
-        vit.mlp_map(x, w)
-        for placement in ReducePlacement:
-            for r in (0, 2):
-                vit.block_forward(x, w, 2, MergeMethod.AVERAGE, r, placement)
-        highway.highway_forward(x, model, ReduceSpec(r=2),
-                                highway.MbmConfig(t=0.5, enabled=True))
-        assert np.array_equal(x, x_before)
+        # the second input has more rows than one MLP block
+        for x in (rand_tokens(2, 9, 8, seed=14), rand_tokens(3, 100, 8, seed=15)):
+            x_before = x.copy()
+            vit.attention(x, w, 2)
+            vit.mlp_map(x, w)
+            for placement in ReducePlacement:
+                for r in (0, 2):
+                    vit.block_forward(x, w, 2, MergeMethod.AVERAGE, r, placement)
+            highway.highway_forward(x, model, ReduceSpec(r=2),
+                                    highway.MbmConfig(t=0.5, enabled=True))
+            assert np.array_equal(x, x_before)
         for f, before in weights.items():
             assert np.array_equal(getattr(w, f), before), f
 
