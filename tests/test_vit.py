@@ -65,7 +65,7 @@ class TestAttention:
 
 
 def mlp_float64(v, w):
-    """fc1 -> tanh-gelu -> fc2 in float64, row by row."""
+    """fc1 -> tanh-gelu -> fc2 in float64."""
     v = np.asarray(v, dtype=np.float64)
     h = v @ w.fc1_weight.astype(np.float64) + w.fc1_bias
     h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h ** 3)))
