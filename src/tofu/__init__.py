@@ -13,7 +13,7 @@ from .fusion import (
 )
 from .highway import MbmConfig, distribute, highway_block, highway_forward, mbm_mask, update_index
 from .linearity import FlConfig, FlReport, functional_linearity, interpolate, path_length, profile_model
-from .matching import MatchResult, Partition, bipartite_soft_match, partition, similarity_matrix
+from .matching import MatchResult, bipartite_soft_match, similarity_matrix
 from .tensor import gelu, layernorm, read_ttf, softmax_rows, write_ttf
 from .vit import (
     ARCH_PRESETS,

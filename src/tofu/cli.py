@@ -114,8 +114,8 @@ def _arch_config(args) -> vit.VitConfig:
 def _trace_dict(trace: fusion.ReduceTrace) -> dict:
     m = trace.match
     return {
-        "src": m.partition.src.tolist(),
-        "dst": m.partition.dst.tolist(),
+        "src": np.arange(1, trace.n_input, 2).tolist(),
+        "dst": np.arange(0, trace.n_input, 2).tolist(),
         "idx_src": m.idx_src.tolist(),
         "idx_dst": m.idx_dst.tolist(),
         "scores": m.scores.tolist(),
@@ -354,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the least value of each count flag, on the commands that have it; OpenBLAS
-# would take --threads 0 as "use every core"
-_FLAG_MINIMUMS = {"threads": 1, "batch": 1, "steps": 3, "repeat": 3, "warmup": 1}
+# the least value of each count or layer flag, on the commands that have it;
+# OpenBLAS would take --threads 0 as "use every core"
+_FLAG_MINIMUMS = {"threads": 1, "batch": 1, "steps": 3, "repeat": 3, "warmup": 1,
+                  "d": 1}
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:

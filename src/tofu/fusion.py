@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .matching import MatchResult, bipartite_soft_match, partition
+from .matching import MatchResult, bipartite_soft_match
 from .tensor import FLOAT
 
 MLERP_DEGENERATE_EPS = 1e-12
@@ -151,14 +151,15 @@ def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
     x = np.asarray(x, dtype=FLOAT)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"apply_reduce needs an (N>=2, C) slice, got {x.shape}")
+    if np.shape(metric)[:1] != x.shape[:1]:
+        raise ValueError(f"metric {np.shape(metric)} must have the rows of x {x.shape}")
 
-    p = partition(x.shape[0])
-    match = bipartite_soft_match(metric, p, r)
+    match = bipartite_soft_match(metric, r)
 
     # SRC/DST are the odd/even rows, so global index >> 1 is the local one
-    keep = np.ones(len(p.src), dtype=bool)
+    keep = np.ones(x.shape[0] // 2, dtype=bool)
     keep[match.idx_src >> 1] = False
-    unchanged = p.src[keep]
+    unchanged = 2 * np.flatnonzero(keep) + 1
     dst_rows = x[0::2]
     src_rows = x[match.idx_src]
     idx_dst_local = match.idx_dst >> 1
@@ -196,17 +197,17 @@ def unmerge(reduced: np.ndarray, trace: ReduceTrace) -> np.ndarray:
     return reduced[trace.output_index_of_input]
 
 
-def parse_merge_string(s: str, late_method: MergeMethod = MergeMethod.AVERAGE,
-                       expected_len: int | None = None) -> list[MergeMethod]:
+def parse_merge_string(s: str, late_method: MergeMethod,
+                       expected_len: int) -> list[MergeMethod]:
     """Turn a 'P'/'A' schedule string into per-layer methods.
 
     'P' prunes, 'A' applies late_method. Any interleaving is allowed; other
-    characters or a length mismatch raise MergeStringError with the offset
-    of the offending position.
+    characters or a length other than expected_len raise MergeStringError
+    with the offset of the offending position.
     """
     methods = []
     for i, ch in enumerate(s):
-        if expected_len is not None and i >= expected_len:
+        if i >= expected_len:
             raise MergeStringError(
                 f"merge string longer than the {expected_len}-layer model", i)
         if ch == "P":
@@ -215,7 +216,7 @@ def parse_merge_string(s: str, late_method: MergeMethod = MergeMethod.AVERAGE,
             methods.append(late_method)
         else:
             raise MergeStringError(f"invalid merge character {ch!r}", i)
-    if expected_len is not None and len(methods) < expected_len:
+    if len(methods) < expected_len:
         raise MergeStringError(
             f"merge string covers {len(methods)} of {expected_len} layers", len(s))
     return methods

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import MergeMethod, ReduceSpec, ReduceTrace, apply_reduce, layer_methods
+from .fusion import MergeMethod, ReduceSpec, apply_reduce, layer_methods
 from .tensor import FLOAT, layernorm
 from .vit import BlockWeights, VitModel, attention, mlp_map, _effective_r
 
@@ -58,17 +58,18 @@ def init_state(x: np.ndarray) -> HighwayState:
     )
 
 
-def update_index(index: np.ndarray, trace: ReduceTrace) -> np.ndarray:
-    """Compose one more reduce into a local path index.
+def update_index(index: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Compose one more reduce into a batch of local path indices.
 
-    Every entry is pushed through the trace's input-to-output map, so merged
-    local rows collapse onto their destination's new row.
+    index is (B, N) into local rows and maps is (B, n_in), each item's
+    input-to-output map of the reduce; every entry is pushed through its
+    item's map, so merged local rows collapse onto their destination's row.
     """
     index = np.asarray(index, dtype=np.int64)
-    if index.size and (index.min() < 0 or index.max() >= trace.n_input):
-        raise IndexError(
-            f"index entries exceed the trace's {trace.n_input} input rows")
-    return trace.output_index_of_input[index]
+    maps = np.asarray(maps, dtype=np.int64)
+    if index.size and (index.min() < 0 or index.max() >= maps.shape[1]):
+        raise IndexError(f"index entries exceed the maps' {maps.shape[1]} input rows")
+    return maps[np.arange(len(maps))[:, None], index]
 
 
 def distribute(f_local: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -109,26 +110,23 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
     on the raw local features. Attention and MLP outputs are each scattered
     through the composed index and residual-added to both paths.
     """
-    b = state.x_full.shape[0]
-    n_local = state.x_local.shape[1]
+    b, n_local, _ = state.x_local.shape
     r_eff = _effective_r(n_local, r)
 
     x_local = state.x_local
     index = state.index
     affected = state.affected
     if r_eff > 0:
-        reduced, new_index, new_affected = [], [], []
-        for i in range(b):
-            x_red, trace = apply_reduce(x_local[i], x_local[i], method, r_eff)
-            touched_local = np.zeros(n_local, dtype=bool)
-            touched_local[trace.match.idx_src] = True
-            touched_local[trace.match.idx_dst] = True
-            new_affected.append(affected[i] | touched_local[index[i]])
-            new_index.append(update_index(index[i], trace))
-            reduced.append(x_red)
-        x_local = np.stack(reduced)
-        index = np.stack(new_index)
-        affected = np.stack(new_affected)
+        items = [apply_reduce(x_local[i], x_local[i], method, r_eff)
+                 for i in range(b)]
+        x_local = np.stack([x_red for x_red, _ in items])
+        maps = np.stack([trace.output_index_of_input for _, trace in items])
+        index = update_index(index, maps)
+        # a local row took part in a merge exactly when its output row is shared
+        rows = np.arange(b)[:, None]
+        sizes = np.zeros((b, n_local - r_eff), dtype=np.int64)
+        np.add.at(sizes, (rows, maps), 1)
+        affected = affected | (sizes[rows, index] > 1)
 
     x_full = state.x_full
     f_attn, _ = attention(

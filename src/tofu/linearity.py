@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matching import bipartite_soft_match, partition
+from .matching import bipartite_soft_match
 
 UNDEFINED_PATH_EPS = 1e-12
 
@@ -159,11 +159,9 @@ def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
             f = lambda v, w=w: np.asarray(v, dtype=np.float32) + vit.mlp_map(v, w)
 
         values: list[float] = []
-        n = x.shape[1]
-        if n >= 2 and cfg.pair_r > 0:
-            p = partition(n)
+        if x.shape[1] >= 2 and cfg.pair_r > 0:
             for b in range(x.shape[0]):
-                m = bipartite_soft_match(keys[b], p, cfg.pair_r)
+                m = bipartite_soft_match(keys[b], cfg.pair_r)
                 for s, d in zip(m.idx_src, m.idx_dst):
                     fl = functional_linearity(f, mlp_in[b, s], mlp_in[b, d], cfg.n_steps)
                     if fl is not None:

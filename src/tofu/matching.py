@@ -1,8 +1,9 @@
 """Bipartite soft matching over a token sequence.
 
-Tokens are split into two disjoint sets by global index: destinations (DST)
-take the even positions, sources (SRC) the odd ones, so both are strided
-views of the metric and index >> 1 is a token's position in its set.
+Tokens are split into two disjoint sets by global index, read from the
+metric's row count alone: destinations (DST) take the even positions 2k,
+sources (SRC) the odd ones 2k+1, so both are strided views of the metric
+and index >> 1 is a token's position in its set.
 Matching keeps, for every SRC token, only its single most similar DST
 partner, then selects the r SRC tokens whose best edge scores highest.
 Nothing protects a class token. At position 0 it is a destination, but
@@ -24,18 +25,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Disjoint SRC/DST split of global token indices 0..n-1."""
-
-    src: np.ndarray  # odd global indices, ascending
-    dst: np.ndarray  # even global indices, ascending
-
-    @property
-    def n_tokens(self) -> int:
-        return len(self.src) + len(self.dst)
-
-
-@dataclass(frozen=True)
 class MatchResult:
     """The r selected cross-set pairs, highest similarity first.
 
@@ -44,33 +33,23 @@ class MatchResult:
     `clamped` is set when the requested r exceeded |SRC| and was reduced.
     """
 
-    partition: Partition
     idx_src: np.ndarray
     idx_dst: np.ndarray
     scores: np.ndarray  # float64, non-increasing
     clamped: bool = False
 
 
-def partition(n_tokens: int) -> Partition:
-    """Alternating split: even global indices -> DST, odd -> SRC."""
-    if n_tokens < 2:
-        raise ValueError(f"cannot partition {n_tokens} tokens, need at least 2")
-    idx = np.arange(n_tokens)
-    return Partition(src=idx[1::2], dst=idx[0::2])
-
-
-def similarity_matrix(metric: np.ndarray, p: Partition) -> np.ndarray:
+def similarity_matrix(metric: np.ndarray) -> np.ndarray:
     """Cosine similarity of every SRC row against every DST row.
 
-    metric is an (N, C) slice indexed by global token position, and p is
-    its alternating partition. Zero-norm rows get similarity -1 to every
-    partner so degenerate tokens sort last; the masking runs only when such
-    a row exists. Returned matrix is float64, shape (|SRC|, |DST|).
+    metric is an (N >= 2, C) slice indexed by global token position. Zero-norm
+    rows get similarity -1 to every partner so degenerate tokens sort last;
+    the masking runs only when such a row exists. Returned matrix is float64,
+    shape (N // 2, (N + 1) // 2).
     """
     m = np.asarray(metric, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != p.n_tokens:
-        raise ValueError(
-            f"metric shape {m.shape} does not cover {p.n_tokens} tokens")
+    if m.ndim != 2 or m.shape[0] < 2:
+        raise ValueError(f"metric must be (N >= 2, C) rows, got {m.shape}")
     norms = np.sqrt((m * m).sum(axis=1))
     zero = None if norms.all() else norms == 0.0
     if zero is not None:
@@ -83,7 +62,7 @@ def similarity_matrix(metric: np.ndarray, p: Partition) -> np.ndarray:
     return sims
 
 
-def bipartite_soft_match(metric: np.ndarray, p: Partition, r: int) -> MatchResult:
+def bipartite_soft_match(metric: np.ndarray, r: int) -> MatchResult:
     """Select the top-r most similar SRC->DST pairs.
 
     Each SRC token contributes one candidate edge: its highest-similarity
@@ -92,18 +71,17 @@ def bipartite_soft_match(metric: np.ndarray, p: Partition, r: int) -> MatchResul
     """
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    clamped = r > len(p.src)
-    sims = similarity_matrix(metric, p)
+    sims = similarity_matrix(metric)
+    n_src = sims.shape[0]
     # argmax returns the first maximum; DST is ascending, so ties already
     # resolve to the lower global DST index
     best_dst_pos = sims.argmax(axis=1)
-    best_score = sims[np.arange(len(p.src)), best_dst_pos]
+    best_score = sims[np.arange(n_src), best_dst_pos]
     # stable sort on descending score keeps ascending SRC order within ties
     order = np.argsort(-best_score, kind="stable")[:r]
     return MatchResult(
-        partition=p,
-        idx_src=p.src[order],
-        idx_dst=p.dst[best_dst_pos[order]],
+        idx_src=2 * order + 1,
+        idx_dst=2 * best_dst_pos[order],
         scores=best_score[order],
-        clamped=clamped,
+        clamped=r > n_src,
     )

@@ -200,7 +200,7 @@ def mlp_map(v: np.ndarray, w: BlockWeights) -> np.ndarray:
 
 
 def _effective_r(n: int, r: int) -> int:
-    # cannot remove more sources than the partition provides
+    # cannot remove more sources than the odd rows provide
     return min(r, n // 2) if n >= 2 else 0
 
 
@@ -416,7 +416,10 @@ def _block_shapes(cfg: VitConfig) -> dict:
 
 
 def save_weights(path: str, model: VitModel) -> None:
-    """Write a model to the TFW1 format; save -> load round-trips bit-exactly."""
+    """Write a model to the TFW1 format; save -> load round-trips bit-exactly.
+
+    A non-finite entry raises ValueError before the file is opened.
+    """
     entries: list[tuple[str, np.ndarray]] = []
     for l, blk in enumerate(model.blocks):
         for name, attr in _BLOCK_FIELDS:
@@ -424,19 +427,21 @@ def save_weights(path: str, model: VitModel) -> None:
     if model.head is not None:
         for name, attr in _HEAD_FIELDS:
             entries.append((name, getattr(model.head, attr)))
+    # the payloads as written, checked before the file is opened
+    entries = [(name, tensor.check_finite(np.ascontiguousarray(arr, dtype="<f4"), name))
+               for name, arr in entries]
 
     with open(path, "wb") as fh:
         fh.write(TFW_MAGIC)
         fh.write(struct.pack("<I", len(entries)))
         for name, arr in entries:
-            arr = np.ascontiguousarray(arr, dtype=FLOAT)
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<B", arr.ndim))
             for d in arr.shape:
                 fh.write(struct.pack("<I", d))
-            fh.write(arr.astype("<f4").tobytes())
+            fh.write(arr.data)
         blob = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

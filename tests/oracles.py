@@ -113,10 +113,11 @@ def token_decay(n0: int, r: int, depth: int):
 def replay_reduce(local, match, method_name):
     """Re-execute a recorded reduce with independent merge arithmetic.
 
-    Returns (new local rows, step map old-local-index -> new-local-row).
+    SRC/DST are the odd/even positions of local. Returns (new local rows,
+    step map old-local-index -> new-local-row).
     """
-    src = match.partition.src.tolist()
-    dst = match.partition.dst.tolist()
+    src = list(range(1, len(local), 2))
+    dst = list(range(0, len(local), 2))
     sel_src = match.idx_src.tolist()
     sel_dst = match.idx_dst.tolist()
     unchanged = [s for s in src if s not in set(sel_src)]

@@ -26,7 +26,7 @@ from tofu.fusion import (
     unmerge,
 )
 from tofu.highway import MbmConfig
-from tofu.matching import bipartite_soft_match, partition, similarity_matrix
+from tofu.matching import bipartite_soft_match, similarity_matrix
 
 
 def criterion(name):
@@ -77,17 +77,17 @@ def test_bsm_oracle_equivalence():
             metric = rng.integers(-2, 3, size=(n, c)).astype(np.float32)
         else:
             metric = rng.standard_normal((n, c)).astype(np.float32)
-        p = partition(n)
-        sims = similarity_matrix(metric, p)
+        src, dst = range(1, n, 2), range(0, n, 2)
+        sims = similarity_matrix(metric)
 
         for _ in range(8):
-            i = int(rng.integers(0, len(p.src)))
-            j = int(rng.integers(0, len(p.dst)))
+            i = int(rng.integers(0, len(src)))
+            j = int(rng.integers(0, len(dst)))
             assert sims[i, j] == pytest.approx(
-                cosine(metric[p.src[i]], metric[p.dst[j]]), abs=1e-9)
+                cosine(metric[src[i]], metric[dst[j]]), abs=1e-9)
 
-        m = bipartite_soft_match(metric, p, r)
-        exp_src, exp_dst, _ = brute_force_select(sims, p.src, p.dst, r)
+        m = bipartite_soft_match(metric, r)
+        exp_src, exp_dst, _ = brute_force_select(sims, src, dst, r)
         assert m.idx_src.tolist() == exp_src, f"case {case}"
         assert m.idx_dst.tolist() == exp_dst, f"case {case}"
 
@@ -189,7 +189,7 @@ def test_hybrid_dispatch():
     depth = 12
     for bits in range(2 ** depth):
         s = "".join("A" if bits & (1 << l) else "P" for l in range(depth))
-        parsed = parse_merge_string(s, MergeMethod.AVERAGE, expected_len=depth)
+        parsed = parse_merge_string(s, MergeMethod.AVERAGE, depth)
         expected = [MergeMethod.PRUNED if ch == "P" else MergeMethod.AVERAGE
                     for ch in s]
         assert parsed == expected
@@ -200,7 +200,7 @@ def test_hybrid_dispatch():
             assert parsed == layer_methods(spec, depth)
 
     spec_d6 = ReduceSpec(r=8, d=6, late_method=MergeMethod.AVERAGE)
-    assert parse_merge_string("PPPPPPAAAAAA", MergeMethod.AVERAGE) == layer_methods(
+    assert parse_merge_string("PPPPPPAAAAAA", MergeMethod.AVERAGE, 12) == layer_methods(
         spec_d6, 12)
 
 

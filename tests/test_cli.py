@@ -192,6 +192,10 @@ class TestFlops:
         assert json.loads(out.read_text())["total"] == pytest.approx(
             20.90e9, rel=0.03)
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_threshold_below_one_is_usage_error(self, d):
+        assert run_cli_usage_error("flops", "--arch", "vit-tiny", "--d", d) == 2
+
     def test_json_round_trip_byte_stable(self, tmp_path):
         out = tmp_path / "f.json"
         run_cli("flops", "--arch", "vit-tiny", "--r", "4", "--out", str(out))

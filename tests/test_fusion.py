@@ -55,6 +55,13 @@ class TestApplyReduce:
                                 np.zeros((1, 3), dtype=np.float32),
                                 MergeMethod.PRUNED, 0)
 
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_metric_row_count_must_match(self, rows):
+        x = np.random.default_rng(3).standard_normal((6, 3)).astype(np.float32)
+        metric = np.ones((rows, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="metric"):
+            fusion.apply_reduce(x, metric, MergeMethod.PRUNED, 1)
+
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(2, 40), c=st.integers(1, 8),
            n_zero=st.integers(0, 4), n_dup=st.integers(0, 4),
@@ -72,14 +79,14 @@ class TestApplyReduce:
 
         reduced, trace = fusion.apply_reduce(x, x, method, r)
         m = trace.match
-        p = matching.partition(n)
+        src, dst = range(1, n, 2), range(0, n, 2)
         # the selection rule on the program's own similarities, exactly; the
         # selected scores against scalar cosines, which tie order cannot move
-        sims = matching.similarity_matrix(x, p)
-        exp_src, exp_dst, _ = brute_force_select(sims, p.src, p.dst, r)
+        sims = matching.similarity_matrix(x)
+        exp_src, exp_dst, _ = brute_force_select(sims, src, dst, r)
         assert m.idx_src.tolist() == exp_src
         assert m.idx_dst.tolist() == exp_dst
-        _, _, exp_scores = brute_force_match(x, p.src, p.dst, r)
+        _, _, exp_scores = brute_force_match(x, src, dst, r)
         np.testing.assert_allclose(m.scores, exp_scores, rtol=0, atol=1e-12)
 
         rows, step = replay_reduce(x, m, method.value)
@@ -265,29 +272,31 @@ class TestSchedules:
         assert fusion.layer_methods(spec, 12) == [MergeMethod.PRUNED] * 12
 
     def test_parse_canonical_d6(self):
-        methods = fusion.parse_merge_string("PPPPPPAAAAAA", MergeMethod.AVERAGE)
+        methods = fusion.parse_merge_string("PPPPPPAAAAAA", MergeMethod.AVERAGE, 12)
         assert methods == [MergeMethod.PRUNED] * 6 + [MergeMethod.AVERAGE] * 6
 
     def test_parse_reversed_order(self):
-        methods = fusion.parse_merge_string("AAAAAAAAPPPP", MergeMethod.AVERAGE)
+        methods = fusion.parse_merge_string("AAAAAAAAPPPP", MergeMethod.AVERAGE, 12)
         assert methods == [MergeMethod.AVERAGE] * 8 + [MergeMethod.PRUNED] * 4
 
     def test_parse_bad_character_offset(self):
         with pytest.raises(fusion.MergeStringError) as exc:
-            fusion.parse_merge_string("PX")
+            fusion.parse_merge_string("PX", MergeMethod.MLERP, 2)
         assert exc.value.offset == 1
 
     def test_parse_wrong_length(self):
-        with pytest.raises(fusion.MergeStringError):
-            fusion.parse_merge_string("PPP", expected_len=12)
-        with pytest.raises(fusion.MergeStringError):
-            fusion.parse_merge_string("P" * 13, expected_len=12)
+        with pytest.raises(fusion.MergeStringError) as exc:
+            fusion.parse_merge_string("PPP", MergeMethod.MLERP, 12)
+        assert exc.value.offset == 3
+        with pytest.raises(fusion.MergeStringError) as exc:
+            fusion.parse_merge_string("P" * 13, MergeMethod.MLERP, 12)
+        assert exc.value.offset == 12
 
     def test_string_dispatch_matches_threshold_form(self):
         for d in range(1, 13):
             spec = ReduceSpec(r=8, d=d, late_method=MergeMethod.MLERP)
             s = "P" * d + "A" * (12 - d)
-            parsed = fusion.parse_merge_string(s, spec.late_method)
+            parsed = fusion.parse_merge_string(s, spec.late_method, 12)
             assert parsed == fusion.layer_methods(spec, 12)
 
     def test_layer_methods_uses_merge_string(self):

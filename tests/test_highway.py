@@ -26,7 +26,8 @@ class TestUpdateIndex:
 
     def test_single_merge_collapses_positions(self):
         _, trace = apply_reduce(FOUR_TOKENS, FOUR_TOKENS, MergeMethod.AVERAGE, 1)
-        idx = highway.update_index(np.arange(4), trace)
+        idx = highway.update_index(np.arange(4)[None],
+                                   trace.output_index_of_input[None])[0]
         assert idx[2] == idx[3]
         assert len({idx[0], idx[1], idx[2]}) == 3
 
@@ -43,16 +44,49 @@ class TestUpdateIndex:
                 break
             r = int(rng.integers(1, max(2, x.shape[0] // 2 + 1)))
             x, trace = apply_reduce(x, x, MergeMethod.PRUNED, r)
-            idx = highway.update_index(idx, trace)
+            idx = highway.update_index(idx[None], trace.output_index_of_input[None])[0]
             step = {i: int(trace.output_index_of_input[i])
                     for i in range(trace.n_input)}
             composed = {p: step[composed[p]] for p in composed}
         assert idx.tolist() == [composed[p] for p in range(n)]
 
+    def test_batch_composes_each_item_through_its_own_map(self):
+        maps = np.array([[0, 1, 1, 2], [2, 0, 1, 0]])
+        index = np.array([[3, 2, 1, 0, 0], [0, 1, 2, 3, 3]])
+        assert highway.update_index(index, maps).tolist() == [
+            [2, 1, 1, 0, 0], [2, 0, 1, 0, 0]]
+
+    @pytest.mark.parametrize("method", list(MergeMethod))
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31), b=st.integers(1, 4),
+           n=st.integers(4, 16), r=st.integers(1, 4), depth=st.integers(1, 3))
+    def test_block_bookkeeping_equals_per_item(self, method, seed, b, n, r, depth):
+        # index and affected of highway_block against a per-item composition:
+        # a position is affected once its local row is in idx_src | idx_dst
+        rng = np.random.default_rng(seed)
+        model = tiny_model(depth=depth, seed=seed % 1000)
+        x = rng.standard_normal((b, n, 8)).astype(np.float32)
+        x[:, 1::4] = x[:, :1]  # several sources share destination 0
+        state = highway.init_state(x)
+        index = np.tile(np.arange(n), (b, 1))
+        affected = np.zeros((b, n), dtype=bool)
+        for w in model.blocks:
+            with recorded_highway_reduces() as traces:
+                state = highway.highway_block(state, w, 2, method, r)
+            for i, trace in enumerate(traces):
+                m = trace.match
+                touched = set(m.idx_src.tolist()) | set(m.idx_dst.tolist())
+                for p in range(n):
+                    affected[i, p] |= int(index[i, p]) in touched
+                    index[i, p] = trace.output_index_of_input[index[i, p]]
+            assert np.array_equal(state.index, index)
+            assert np.array_equal(state.affected, affected)
+
     def test_out_of_range_rejected(self):
         _, trace = apply_reduce(FOUR_TOKENS, FOUR_TOKENS, MergeMethod.PRUNED, 1)
         with pytest.raises(IndexError):
-            highway.update_index(np.array([0, 1, 9]), trace)
+            highway.update_index(np.array([[0, 1, 9]]),
+                                 trace.output_index_of_input[None])
 
 
 class TestDistribute:
@@ -70,8 +104,8 @@ class TestDistribute:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((7, 3)).astype(np.float32)
         reduced, trace = apply_reduce(x, x, MergeMethod.AVERAGE, 0)
-        idx = highway.update_index(np.arange(7), trace)
-        assert np.array_equal(highway.distribute(reduced[None], idx[None]), x[None])
+        idx = highway.update_index(np.arange(7)[None], trace.output_index_of_input[None])
+        assert np.array_equal(highway.distribute(reduced[None], idx), x[None])
 
     def test_dangling_index_rejected(self):
         with pytest.raises(IndexError):

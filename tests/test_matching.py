@@ -7,48 +7,25 @@ from oracles import brute_force_match, brute_force_select
 from tofu import cli, matching
 
 
-def test_partition_alternating():
-    p = matching.partition(4)
-    assert p.src.tolist() == [1, 3]
-    assert p.dst.tolist() == [0, 2]
-
-
-def test_partition_odd_count():
-    p = matching.partition(5)
-    assert p.src.tolist() == [1, 3]
-    assert p.dst.tolist() == [0, 2, 4]
-
-
-def test_partition_minimum():
-    p = matching.partition(2)
-    assert p.src.tolist() == [1]
-    assert p.dst.tolist() == [0]
-
-
-def test_partition_too_small():
-    with pytest.raises(ValueError):
-        matching.partition(1)
-
-
-def test_partition_is_exact_cover():
-    for n in (2, 3, 7, 16, 197):
-        p = matching.partition(n)
-        both = set(p.src.tolist()) | set(p.dst.tolist())
-        assert both == set(range(n))
-        assert not set(p.src.tolist()) & set(p.dst.tolist())
-
-
-def test_partition_cls_lands_in_dst():
-    p = matching.partition(10)
-    assert 0 in p.dst.tolist()
-    assert 0 not in p.src.tolist()
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 10, 197])
+def test_match_split_odd_src_even_dst(n):
+    # the split comes from the row count: sources are the odd global
+    # indices, destinations (the class token at 0 among them) the even ones
+    metric = np.random.default_rng(n).standard_normal((n, 3)).astype(np.float32)
+    if n < 2:
+        with pytest.raises(ValueError, match="N >= 2"):
+            matching.bipartite_soft_match(metric, 0)
+        return
+    m = matching.bipartite_soft_match(metric, n)  # clamps to every source
+    assert sorted(m.idx_src.tolist()) == list(range(1, n, 2))
+    assert set(m.idx_dst.tolist()) <= set(range(0, n, 2))
+    assert matching.similarity_matrix(metric).shape == (n // 2, (n + 1) // 2)
 
 
 def test_similarity_identical_and_orthogonal():
     metric = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
                       dtype=np.float32)
-    p = matching.partition(4)
-    sims = matching.similarity_matrix(metric, p)
+    sims = matching.similarity_matrix(metric)
     # SRC=[1,3], DST=[0,2]
     assert sims[0, 0] == pytest.approx(1.0)   # identical unit vectors
     assert sims[0, 1] == pytest.approx(0.0)   # orthogonal
@@ -59,8 +36,7 @@ def test_similarity_hand_cosine():
     metric = np.zeros((4, 2), dtype=np.float32)
     metric[1] = [1.0, 0.0]
     metric[2] = [0.05, 0.95]
-    p = matching.partition(4)
-    sims = matching.similarity_matrix(metric, p)
+    sims = matching.similarity_matrix(metric)
     assert sims[0, 1] == pytest.approx(0.0526, abs=1e-3)
 
 
@@ -69,44 +45,40 @@ FOUR_TOKENS = np.array(
 
 
 def test_match_four_token_example_r1():
-    p = matching.partition(4)
-    m = matching.bipartite_soft_match(FOUR_TOKENS, p, 1)
+    m = matching.bipartite_soft_match(FOUR_TOKENS, 1)
     assert m.idx_src.tolist() == [3]
     assert m.idx_dst.tolist() == [2]
     assert not m.clamped
 
 
 def test_match_four_token_example_r2_dst_recurs():
-    p = matching.partition(4)
-    m = matching.bipartite_soft_match(FOUR_TOKENS, p, 2)
+    m = matching.bipartite_soft_match(FOUR_TOKENS, 2)
     assert m.idx_src.tolist() == [3, 1]
     assert m.idx_dst.tolist() == [2, 2]
 
 
 def test_match_r_zero_is_empty():
-    p = matching.partition(4)
-    m = matching.bipartite_soft_match(FOUR_TOKENS, p, 0)
+    m = matching.bipartite_soft_match(FOUR_TOKENS, 0)
     assert m.idx_src.size == 0 and m.idx_dst.size == 0
 
 
 def test_match_r_beyond_src_clamps_with_flag():
-    p = matching.partition(4)
-    m = matching.bipartite_soft_match(FOUR_TOKENS, p, 99)
+    m = matching.bipartite_soft_match(FOUR_TOKENS, 99)
     assert m.clamped
-    assert len(m.idx_src) == len(p.src)
+    assert m.idx_src.tolist() == [3, 1]
 
 
 def test_match_scores_non_increasing():
     rng = np.random.default_rng(7)
     metric = rng.standard_normal((20, 6)).astype(np.float32)
-    m = matching.bipartite_soft_match(metric, matching.partition(20), 8)
+    m = matching.bipartite_soft_match(metric, 8)
     assert all(a >= b for a, b in zip(m.scores, m.scores[1:]))
 
 
 def _assert_matches_oracle(metric, r):
-    p = matching.partition(len(metric))
-    m = matching.bipartite_soft_match(metric, p, r)
-    exp_src, exp_dst, _ = brute_force_match(metric, p.src, p.dst, r)
+    n = len(metric)
+    m = matching.bipartite_soft_match(metric, r)
+    exp_src, exp_dst, _ = brute_force_match(metric, range(1, n, 2), range(0, n, 2), r)
     assert m.idx_src.tolist() == exp_src
     assert m.idx_dst.tolist() == exp_dst
 
@@ -132,10 +104,10 @@ def test_match_tie_breaks_match_selection_oracle(n, seed):
     # scores and the documented index tie-break is what gets exercised
     rng = np.random.default_rng(seed)
     metric = rng.integers(-2, 3, size=(n, 3)).astype(np.float32)
-    p = matching.partition(n)
-    sims = matching.similarity_matrix(metric, p)
-    m = matching.bipartite_soft_match(metric, p, n // 2)
-    exp_src, exp_dst, _ = brute_force_select(sims, p.src, p.dst, n // 2)
+    sims = matching.similarity_matrix(metric)
+    m = matching.bipartite_soft_match(metric, n // 2)
+    exp_src, exp_dst, _ = brute_force_select(
+        sims, range(1, n, 2), range(0, n, 2), n // 2)
     assert m.idx_src.tolist() == exp_src
     assert m.idx_dst.tolist() == exp_dst
 
@@ -143,10 +115,9 @@ def test_match_tie_breaks_match_selection_oracle(n, seed):
 def test_match_deterministic_across_calls():
     rng = np.random.default_rng(11)
     metric = rng.standard_normal((32, 8)).astype(np.float32)
-    p = matching.partition(32)
-    first = matching.bipartite_soft_match(metric, p, 10)
+    first = matching.bipartite_soft_match(metric, 10)
     for _ in range(3):
-        again = matching.bipartite_soft_match(metric, p, 10)
+        again = matching.bipartite_soft_match(metric, 10)
         assert np.array_equal(first.idx_src, again.idx_src)
         assert np.array_equal(first.idx_dst, again.idx_dst)
         assert np.array_equal(first.scores, again.scores)
@@ -158,13 +129,12 @@ def test_match_deterministic_across_thread_counts():
         pytest.importorskip("threadpoolctl")
     rng = np.random.default_rng(13)
     metric = rng.standard_normal((64, 16)).astype(np.float32)
-    p = matching.partition(64)
     results = []
     for limit in (1, 2, 1):
         with cli._limit_threads(limit):
             if blas is not None:
                 assert blas[0]() == limit
-            results.append(matching.bipartite_soft_match(metric, p, 20))
+            results.append(matching.bipartite_soft_match(metric, 20))
     for m in results[1:]:
         assert np.array_equal(results[0].idx_src, m.idx_src)
         assert np.array_equal(results[0].idx_dst, m.idx_dst)
@@ -176,17 +146,15 @@ def test_match_deterministic_across_thread_counts():
 def test_protected_cls_never_a_source(n, seed):
     rng = np.random.default_rng(seed)
     metric = rng.standard_normal((n, 4)).astype(np.float32)
-    p = matching.partition(n)
-    m = matching.bipartite_soft_match(metric, p, n // 2)
+    m = matching.bipartite_soft_match(metric, n // 2)
     assert 0 not in m.idx_src.tolist()
 
 
 def test_match_result_index_membership():
     rng = np.random.default_rng(5)
     metric = rng.standard_normal((15, 4)).astype(np.float32)
-    p = matching.partition(15)
-    m = matching.bipartite_soft_match(metric, p, 5)
-    src_set, dst_set = set(p.src.tolist()), set(p.dst.tolist())
+    m = matching.bipartite_soft_match(metric, 5)
+    src_set, dst_set = set(range(1, 15, 2)), set(range(0, 15, 2))
     assert set(m.idx_src.tolist()) <= src_set
     assert set(m.idx_dst.tolist()) <= dst_set
     assert len(set(m.idx_src.tolist())) == len(m.idx_src)  # sources unique

@@ -189,7 +189,7 @@ class TestForward:
                           late_method=MergeMethod.AVERAGE)
         got, _ = vit.forward(x, model, spec)
 
-        methods = parse_merge_string("PPAA", MergeMethod.AVERAGE)
+        methods = parse_merge_string("PPAA", MergeMethod.AVERAGE, 4)
         manual = x
         for l, w in enumerate(model.blocks):
             manual, _ = vit.block_forward(
@@ -387,12 +387,27 @@ class TestWeightFile:
             vit.load_weights(path)
 
     def test_non_finite_tensor_rejected(self, tmp_path):
+        # the writer refuses NaN, so patch its bytes into a saved file
         model = tiny_model()
-        model.blocks[1].fc2_bias[3] = np.nan
-        path = str(tmp_path / "m.tfw")
-        vit.save_weights(path, model)
+        bias = model.blocks[1].fc2_bias
+        bias[:] = 0.25 + np.arange(bias.size, dtype=np.float32)
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        blob = bytearray(path.read_bytes())
+        at = blob.index(bias.astype("<f4").tobytes()) + 3 * 4
+        blob[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="non-finite"):
-            vit.load_weights(path)
+            vit.load_weights(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_not_saved(self, tmp_path, value):
+        model = tiny_model()
+        model.blocks[0].fc1_bias[2] = value
+        path = tmp_path / "m.tfw"
+        with pytest.raises(ValueError, match=r"blocks\.0\.mlp\.fc1\.bias .*non-finite"):
+            vit.save_weights(str(path), model)
+        assert not path.exists()
 
 
 class TestConfig:
