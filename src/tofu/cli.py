@@ -354,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the least value of each count or layer flag, on the commands that have it;
+# the least value of each count, layer or seed flag, on the commands that have it;
 # OpenBLAS would take --threads 0 as "use every core"
 _FLAG_MINIMUMS = {"threads": 1, "batch": 1, "steps": 3, "repeat": 3, "warmup": 1,
-                  "d": 1}
+                  "d": 1, "seed": 0, "classes": 0}
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:

@@ -86,15 +86,16 @@ class VitConfig:
 
     @staticmethod
     def from_dict(obj: dict) -> "VitConfig":
-        return VitConfig(
-            depth=int(obj["depth"]),
-            channels=int(obj["channels"]),
-            heads=int(obj["heads"]),
-            mlp_ratio=int(obj.get("mlp_ratio", 4)),
-            patch=int(obj.get("patch", 16)),
-            image=int(obj.get("image", 224)),
-            cls_token=bool(obj.get("cls_token", True)),
-        )
+        """The config of a JSON object; counts must be JSON integers and
+        cls_token a JSON boolean, or TypeError (nothing is coerced)."""
+        kwargs = {name: obj[name] for name in ("depth", "channels", "heads")}
+        kwargs.update((name, obj[name]) for name in ("mlp_ratio", "patch", "image", "cls_token")
+                      if name in obj)
+        for name, value in kwargs.items():
+            want = bool if name == "cls_token" else int
+            if type(value) is not want:  # bool is an int subclass, so no isinstance
+                raise TypeError(f"{name} must be {want.__name__}, not {value!r}")
+        return VitConfig(**kwargs)
 
 
 # reference shapes from the classification experiments
@@ -346,73 +347,54 @@ def flops_estimate(cfg: VitConfig, spec: ReduceSpec,
     return FlopReport(per_layer=layers, patch_embed_flops=patch_embed, total=total)
 
 
+def _layout(c: int, hid: int, classes: int) -> tuple[tuple, tuple]:
+    """The TFW1 tensors of one block (named "blocks.{l}." + name in the file)
+    and of the head, each in file order: (file name, field, shape)."""
+    block = (
+        ("attn.qkv.weight", "qkv_weight", (c, 3 * c)),
+        ("attn.qkv.bias", "qkv_bias", (3 * c,)),
+        ("attn.proj.weight", "proj_weight", (c, c)),
+        ("attn.proj.bias", "proj_bias", (c,)),
+        ("norm1.gamma", "norm1_gamma", (c,)),
+        ("norm1.beta", "norm1_beta", (c,)),
+        ("mlp.fc1.weight", "fc1_weight", (c, hid)),
+        ("mlp.fc1.bias", "fc1_bias", (hid,)),
+        ("mlp.fc2.weight", "fc2_weight", (hid, c)),
+        ("mlp.fc2.bias", "fc2_bias", (c,)),
+        ("norm2.gamma", "norm2_gamma", (c,)),
+        ("norm2.beta", "norm2_beta", (c,)),
+    )
+    head = (
+        ("norm.gamma", "norm_gamma", (c,)),
+        ("norm.beta", "norm_beta", (c,)),
+        ("head.weight", "weight", (c, classes)),
+        ("head.bias", "bias", (classes,)),
+    )
+    return block, head
+
+
 def random_model(cfg: VitConfig, seed: int, n_classes: int | None = None
                  ) -> VitModel:
     """Seeded synthetic weights: linear layers uniform within +-1/sqrt(C),
-    norm affines at identity. Same seed, same bits."""
+    drawn in file order, norm affines at identity. Same seed, same bits."""
     rng = np.random.default_rng(seed)
-    c, hid = cfg.channels, cfg.hidden
-    bound = 1.0 / np.sqrt(c)
+    bound = 1.0 / np.sqrt(cfg.channels)
+    block, head = _layout(cfg.channels, cfg.hidden, n_classes or 0)
 
-    def u(*shape):
+    def init(field: str, shape: tuple) -> np.ndarray:
+        # the norm affines take no draw
+        if field.endswith("gamma"):
+            return np.ones(shape, dtype=FLOAT)
+        if field.endswith("beta"):
+            return np.zeros(shape, dtype=FLOAT)
         return rng.uniform(-bound, bound, size=shape).astype(FLOAT)
 
-    blocks = []
-    for _ in range(cfg.depth):
-        blocks.append(BlockWeights(
-            qkv_weight=u(c, 3 * c), qkv_bias=u(3 * c),
-            proj_weight=u(c, c), proj_bias=u(c),
-            norm1_gamma=np.ones(c, dtype=FLOAT),
-            norm1_beta=np.zeros(c, dtype=FLOAT),
-            fc1_weight=u(c, hid), fc1_bias=u(hid),
-            fc2_weight=u(hid, c), fc2_bias=u(c),
-            norm2_gamma=np.ones(c, dtype=FLOAT),
-            norm2_beta=np.zeros(c, dtype=FLOAT),
-        ))
-    head = None
-    if n_classes:
-        head = HeadWeights(
-            norm_gamma=np.ones(c, dtype=FLOAT),
-            norm_beta=np.zeros(c, dtype=FLOAT),
-            weight=u(c, n_classes), bias=u(n_classes),
-        )
-    return VitModel(config=cfg, blocks=blocks, head=head)
+    def build(cls, table):
+        return cls(**{field: init(field, shape) for _, field, shape in table})
 
-
-# canonical per-block tensor names, in file order
-_BLOCK_FIELDS = [
-    ("attn.qkv.weight", "qkv_weight"),
-    ("attn.qkv.bias", "qkv_bias"),
-    ("attn.proj.weight", "proj_weight"),
-    ("attn.proj.bias", "proj_bias"),
-    ("norm1.gamma", "norm1_gamma"),
-    ("norm1.beta", "norm1_beta"),
-    ("mlp.fc1.weight", "fc1_weight"),
-    ("mlp.fc1.bias", "fc1_bias"),
-    ("mlp.fc2.weight", "fc2_weight"),
-    ("mlp.fc2.bias", "fc2_bias"),
-    ("norm2.gamma", "norm2_gamma"),
-    ("norm2.beta", "norm2_beta"),
-]
-
-_HEAD_FIELDS = [
-    ("norm.gamma", "norm_gamma"),
-    ("norm.beta", "norm_beta"),
-    ("head.weight", "weight"),
-    ("head.bias", "bias"),
-]
-
-
-def _block_shapes(cfg: VitConfig) -> dict:
-    c, hid = cfg.channels, cfg.hidden
-    return {
-        "attn.qkv.weight": (c, 3 * c), "attn.qkv.bias": (3 * c,),
-        "attn.proj.weight": (c, c), "attn.proj.bias": (c,),
-        "norm1.gamma": (c,), "norm1.beta": (c,),
-        "mlp.fc1.weight": (c, hid), "mlp.fc1.bias": (hid,),
-        "mlp.fc2.weight": (hid, c), "mlp.fc2.bias": (c,),
-        "norm2.gamma": (c,), "norm2.beta": (c,),
-    }
+    blocks = [build(BlockWeights, block) for _ in range(cfg.depth)]
+    return VitModel(config=cfg, blocks=blocks,
+                    head=build(HeadWeights, head) if n_classes else None)
 
 
 def save_weights(path: str, model: VitModel) -> None:
@@ -420,16 +402,16 @@ def save_weights(path: str, model: VitModel) -> None:
 
     A non-finite entry raises ValueError before the file is opened.
     """
-    entries: list[tuple[str, np.ndarray]] = []
-    for l, blk in enumerate(model.blocks):
-        for name, attr in _BLOCK_FIELDS:
-            entries.append((f"blocks.{l}.{name}", getattr(blk, attr)))
+    block, head = _layout(0, 0, 0)  # names and fields only
+    owners = [(f"blocks.{l}.", blk, block) for l, blk in enumerate(model.blocks)]
     if model.head is not None:
-        for name, attr in _HEAD_FIELDS:
-            entries.append((name, getattr(model.head, attr)))
+        owners.append(("", model.head, head))
     # the payloads as written, checked before the file is opened
-    entries = [(name, tensor.check_finite(np.ascontiguousarray(arr, dtype="<f4"), name))
-               for name, arr in entries]
+    entries = []
+    for prefix, owner, table in owners:
+        for name, field, _ in table:
+            arr = np.ascontiguousarray(getattr(owner, field), dtype="<f4")
+            entries.append((prefix + name, tensor.check_finite(arr, prefix + name)))
 
     with open(path, "wb") as fh:
         fh.write(TFW_MAGIC)
@@ -500,48 +482,29 @@ def load_weights(path: str) -> VitModel:
 
     try:
         cfg = VitConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: json reads Infinity, and int() cannot take it
+    except (KeyError, TypeError, ValueError) as exc:
         raise WeightShapeError(f"invalid TFW1 config blob: {exc}") from exc
 
-    shapes = _block_shapes(cfg)
-    blocks = []
-    consumed = set()
-    for l in range(cfg.depth):
-        kwargs = {}
-        for name, attr in _BLOCK_FIELDS:
-            full = f"blocks.{l}.{name}"
+    # the class count is whatever head.weight holds, so its check rests on C
+    hw = tensors.get("head.weight")
+    classes = hw.shape[-1] if hw is not None and hw.ndim else 0
+    block, head = _layout(cfg.channels, cfg.hidden, classes)
+    owners = [(f"blocks.{l}.", block) for l in range(cfg.depth)]
+    if any(name in tensors for name, _, _ in head):
+        owners.append(("", head))
+    built = []
+    for prefix, table in owners:
+        fields = {}
+        for name, field, shape in table:
+            full = prefix + name
             if full not in tensors:
                 raise WeightShapeError(f"missing tensor {full!r}")
-            arr = tensors[full]
-            if arr.shape != shapes[name]:
-                raise WeightShapeError(
-                    f"{full!r} has shape {arr.shape}, expected {shapes[name]}")
-            kwargs[attr] = arr
-            consumed.add(full)
-        blocks.append(BlockWeights(**kwargs))
-
-    head = None
-    head_names = [n for n, _ in _HEAD_FIELDS]
-    if any(n in tensors for n in head_names):
-        if not all(n in tensors for n in head_names):
-            raise WeightShapeError("partial classification head in weight file")
-        c = cfg.channels
-        hw = tensors["head.weight"]
-        if hw.ndim != 2 or hw.shape[0] != c:
-            raise WeightShapeError(
-                f"'head.weight' has shape {hw.shape}, expected ({c}, classes)")
-        expected = {"norm.gamma": (c,), "norm.beta": (c,), "head.bias": (hw.shape[1],)}
-        for name, shape in expected.items():
-            if tensors[name].shape != shape:
-                raise WeightShapeError(
-                    f"{name!r} has shape {tensors[name].shape}, expected {shape}")
-        head = HeadWeights(
-            norm_gamma=tensors["norm.gamma"], norm_beta=tensors["norm.beta"],
-            weight=hw, bias=tensors["head.bias"])
-        consumed.update(head_names)
-
-    unknown = set(tensors) - consumed
-    if unknown:
-        raise WeightShapeError(f"unrecognized tensors: {sorted(unknown)}")
-    return VitModel(config=cfg, blocks=blocks, head=head)
+            fields[field] = arr = tensors.pop(full)
+            if arr.shape != shape:
+                raise WeightShapeError(f"{full!r} has shape {arr.shape}, expected {shape}")
+        built.append(fields)
+    if tensors:
+        raise WeightShapeError(f"unrecognized tensors: {sorted(tensors)}")
+    blocks = [BlockWeights(**f) for f in built[:cfg.depth]]
+    heads = [HeadWeights(**f) for f in built[cfg.depth:]]
+    return VitModel(config=cfg, blocks=blocks, head=heads[0] if heads else None)

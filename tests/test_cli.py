@@ -46,6 +46,13 @@ class TestGen:
     def test_missing_required_flag_is_usage_error(self):
         assert run_cli_usage_error("gen", "--arch", "vit-tiny") == 2
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1", "gen"], ["gen", "--classes", "-1"]])
+    def test_negative_seed_or_classes_is_usage_error(self, flags, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli_usage_error(*flags, "--arch", "vit-tiny",
+                                   "--out-weights", "m.tfw") == 2
+        assert not any(tmp_path.iterdir())
+
 
 class TestReduce:
     def make_inputs(self, tmp_path, n=10, c=6):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -270,13 +271,24 @@ class TestRandomModel:
         h = hashlib.sha256()
         total = 0.0
         for blk in model.blocks:
-            for _, attr in vit._BLOCK_FIELDS:
-                arr = getattr(blk, attr)
+            for f in dataclasses.fields(vit.BlockWeights):  # in file order
+                arr = getattr(blk, f.name)
                 h.update(arr.astype("<f4").tobytes())
                 total += float(arr.astype(np.float64).sum())
         assert total == pytest.approx(4528.031323722843, rel=1e-9)
         assert h.hexdigest() == (
             "85b1809f0a4c1b21ebb79f123c401e290a972558fa43039874c708a2d4ee7caf")
+
+    def test_vit_tiny_seed0_tfw1_bytes_anchor(self, tmp_path):
+        # frozen once from this generator and writer; pins the tensor order,
+        # names, draws and the config blob
+        model = vit.random_model(vit.ARCH_PRESETS["vit-tiny"], 0, n_classes=10)
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        blob = path.read_bytes()
+        assert len(blob) == 21367259
+        assert hashlib.sha256(blob).hexdigest() == (
+            "61377edbee3e3bb4f48dd0e83888b456ec184a90b3d12c1d110a12a2728709a0")
 
 
 class TestWeightFile:
@@ -287,8 +299,8 @@ class TestWeightFile:
         back = vit.load_weights(path)
         assert back.config == model.config
         for a, b in zip(model.blocks, back.blocks):
-            for _, attr in vit._BLOCK_FIELDS:
-                assert np.array_equal(getattr(a, attr), getattr(b, attr))
+            for f in dataclasses.fields(vit.BlockWeights):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
 
     def test_head_round_trip(self, tmp_path):
         cfg = VitConfig(depth=1, channels=8, heads=2, image=32)
@@ -368,6 +380,17 @@ class TestWeightFile:
         with pytest.raises(vit.WeightShapeError, match="config"):
             vit.load_weights(str(path))
 
+    @pytest.mark.parametrize("change", [
+        {"heads": 2.5}, {"heads": "2"}, {"heads": True}, {"cls_token": "false"}])
+    def test_config_value_of_wrong_json_type_rejected(self, tmp_path, change):
+        # each of these would coerce to a valid config, so only the type check catches it
+        model = tiny_model()
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        rewrite_tfw_config(path, model.config, **change)
+        with pytest.raises(vit.WeightShapeError, match="invalid TFW1 config blob"):
+            vit.load_weights(str(path))
+
     def test_out_of_range_config_rejected(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "m.tfw"
@@ -385,6 +408,24 @@ class TestWeightFile:
         vit.save_weights(path, model)
         with pytest.raises(vit.WeightShapeError, match="expected"):
             vit.load_weights(path)
+
+    @pytest.mark.parametrize("dropped", ["norm.gamma", "head.weight", "head.bias"])
+    def test_partial_head_rejected(self, tmp_path, dropped):
+        model = vit.random_model(TINY, 0, n_classes=5)
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        blob = bytearray(path.read_bytes())
+        # cut the dropped tensor's record out and lower the count
+        name = dropped.encode()
+        start = blob.index(struct.pack("<H", len(name)) + name)
+        ndim = blob[start + 2 + len(name)]
+        dims = struct.unpack_from(f"<{ndim}I", blob, start + 3 + len(name))
+        end = start + 3 + len(name) + 4 * ndim + 4 * int(np.prod(dims))
+        (count,) = struct.unpack_from("<I", blob, 4)
+        struct.pack_into("<I", blob, 4, count - 1)
+        path.write_bytes(bytes(blob[:start] + blob[end:]))
+        with pytest.raises(vit.WeightShapeError, match=f"missing tensor '{dropped}'"):
+            vit.load_weights(str(path))
 
     def test_non_finite_tensor_rejected(self, tmp_path):
         # the writer refuses NaN, so patch its bytes into a saved file
