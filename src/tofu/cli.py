@@ -185,11 +185,11 @@ def cmd_flops(args) -> int:
     if args.out:
         _write_json(args.out, {
             "arch": args.arch,
-            "config": cfg.to_dict(),
+            "config": dataclasses.asdict(cfg),
             "r": args.r,
             "placement": placement.value,
             "total_gflops": report.total / 1e9,
-            **report.to_dict(),
+            **dataclasses.asdict(report),
         })
     return 0
 
@@ -244,14 +244,14 @@ def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,
         })
     return {
         "config": {
-            "vit": cfg.to_dict(),
+            "vit": dataclasses.asdict(cfg),
             "batch": batch,
             "r": r,
             "repeat": repeat,
             "warmup": warmup,
             "seed": seed,
             "mode": mode,
-            "mbm": {"enabled": mbm.enabled, "t": mbm.t},
+            "mbm": dataclasses.asdict(mbm),
         },
         "rows": rows,
     }
@@ -259,9 +259,8 @@ def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,
 
 def cmd_bench(args) -> int:
     cfg = _arch_config(args)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     mbm = highway.MbmConfig(t=args.mbm_t, enabled=args.mbm)
-    report = run_bench(cfg, methods, args.r, args.batch, args.repeat,
+    report = run_bench(cfg, args.methods, args.r, args.batch, args.repeat,
                        args.warmup, args.seed, args.mode, mbm)
     text = _dump_json(report)
     if args.out:
@@ -287,6 +286,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _method_list(text: str) -> list[str]:
+    """The --methods comma list: at least one known method, blanks skipped."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    for m in methods:
+        if m not in _METHOD_CHOICES and m != "full":
+            raise argparse.ArgumentTypeError(f"unknown method {m!r}")
+    if not methods:
+        raise argparse.ArgumentTypeError("no method given")
+    return methods
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tofu",
@@ -295,6 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="BLAS thread cap (default 1, reproducible)")
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the model shape, shared by every command that builds a model from a preset
+    arch = argparse.ArgumentParser(add_help=False)
+    arch.add_argument("--arch", choices=sorted(vit.ARCH_PRESETS), required=True)
+    arch.add_argument("--image", type=int, default=None)
+    arch.add_argument("--patch", type=int, default=None)
 
     p = sub.add_parser("reduce", help="apply one reduce to a token dump")
     p.add_argument("--input", required=True, help="TTF1 token tensor")
@@ -314,10 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_fl)
 
-    p = sub.add_parser("flops", help="analytical FLOP report")
-    p.add_argument("--arch", choices=sorted(vit.ARCH_PRESETS), required=True)
-    p.add_argument("--image", type=int, default=None)
-    p.add_argument("--patch", type=int, default=None)
+    p = sub.add_parser("flops", parents=[arch], help="analytical FLOP report")
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--d", type=int, default=6)
     p.add_argument("--placement", choices=[pl.value for pl in vit.ReducePlacement],
@@ -325,15 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write report JSON")
     p.set_defaults(func=cmd_flops)
 
-    p = sub.add_parser("bench", help="wall-clock comparison of merge methods")
-    p.add_argument("--arch", choices=sorted(vit.ARCH_PRESETS), required=True)
-    p.add_argument("--image", type=int, default=None)
-    p.add_argument("--patch", type=int, default=None)
+    p = sub.add_parser("bench", parents=[arch],
+                       help="wall-clock comparison of merge methods")
     p.add_argument("--r", type=int, default=16)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--repeat", type=int, default=5)
     p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--methods", default="full,pruned,average,mlerp",
+    p.add_argument("--methods", type=_method_list, default="full,pruned,average,mlerp",
                    help="comma list of full|pruned|average|mlerp")
     p.add_argument("--mode", choices=["normal", "highway"], default="normal")
     p.add_argument("--mbm", action="store_true", help="enable magnitude masking")
@@ -341,10 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write report JSON")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gen", help="write synthetic weights/tokens fixtures")
-    p.add_argument("--arch", choices=sorted(vit.ARCH_PRESETS), required=True)
-    p.add_argument("--image", type=int, default=None)
-    p.add_argument("--patch", type=int, default=None)
+    p = sub.add_parser("gen", parents=[arch],
+                       help="write synthetic weights/tokens fixtures")
     p.add_argument("--out-weights", required=True, help="TFW1 output path")
     p.add_argument("--out-tokens", help="TTF1 output path")
     p.add_argument("--batch", type=int, default=1)
@@ -364,15 +372,12 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     for flag, least in _FLAG_MINIMUMS.items():
         if getattr(args, flag, least) < least:
             parser.error(f"--{flag} must be at least {least}")
-    if args.command == "bench":
-        known = set(_METHOD_CHOICES) | {"full"}
-        for m in args.methods.split(","):
-            if m.strip() and m.strip() not in known:
-                parser.error(f"unknown method {m.strip()!r}")
     if args.command in ("reduce", "fl", "flops", "bench") and args.r < 0:
         parser.error("--r must be non-negative")
     if args.command == "bench" and not args.mbm_t >= 0:
         parser.error("--mbm-t must be a non-negative number")
+    if args.command == "bench" and args.mbm and args.mode != "highway":
+        parser.error("--mbm needs --mode highway")
 
 
 def main(argv=None) -> int:

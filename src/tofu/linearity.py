@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,16 +53,7 @@ class FlReport:
     layers: list[FlLayerStats]
 
     def to_json(self) -> str:
-        rows = [
-            {
-                "layer": s.layer,
-                "mean_fl": s.mean_fl,
-                "std_fl": s.std_fl,
-                "count": s.count,
-            }
-            for s in self.layers
-        ]
-        return json.dumps(rows, indent=2, sort_keys=True)
+        return json.dumps([asdict(s) for s in self.layers], indent=2, sort_keys=True)
 
 
 def interpolate(x1: np.ndarray, x2: np.ndarray,

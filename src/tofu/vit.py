@@ -20,7 +20,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -73,30 +74,23 @@ class VitConfig:
     def hidden(self) -> int:
         return self.channels * self.mlp_ratio
 
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "channels": self.channels,
-            "heads": self.heads,
-            "mlp_ratio": self.mlp_ratio,
-            "patch": self.patch,
-            "image": self.image,
-            "cls_token": self.cls_token,
-        }
-
     @staticmethod
     def from_dict(obj: dict) -> "VitConfig":
-        """The config of a JSON object; counts must be JSON integers and
-        cls_token a JSON boolean, or TypeError (nothing is coerced)."""
-        kwargs = {name: obj[name] for name in ("depth", "channels", "heads")}
-        kwargs.update((name, obj[name]) for name in ("mlp_ratio", "patch", "image", "cls_token")
-                      if name in obj)
-        for name, value in kwargs.items():
-            want = bool if name == "cls_token" else int
-            if type(value) is not want:  # bool is an int subclass, so no isinstance
+        """The config of a JSON object whose keys are VitConfig's fields and
+        whose values have each field's declared type, else TypeError: nothing
+        is coerced, and an unknown key or a missing required one is refused."""
+        if not isinstance(obj, dict):
+            raise TypeError(f"config must be a JSON object, not {obj!r}")
+        for name, value in obj.items():
+            want = _CONFIG_TYPES.get(name)
+            # bool is an int subclass, so no isinstance
+            if want is not None and type(value) is not want:
                 raise TypeError(f"{name} must be {want.__name__}, not {value!r}")
-        return VitConfig(**kwargs)
+        return VitConfig(**obj)  # the TypeError for a missing or unknown key
 
+
+# each field's declared type, which from_dict asks of its JSON value
+_CONFIG_TYPES = typing.get_type_hints(VitConfig)
 
 # reference shapes from the classification experiments
 ARCH_PRESETS = {
@@ -308,20 +302,6 @@ class FlopReport:
     patch_embed_flops: int
     total: int
 
-    def to_dict(self) -> dict:
-        return {
-            "patch_embed_flops": self.patch_embed_flops,
-            "total": self.total,
-            "per_layer": [
-                {
-                    "attn_flops": pl.attn_flops,
-                    "mlp_flops": pl.mlp_flops,
-                    "token_count": pl.token_count,
-                }
-                for pl in self.per_layer
-            ],
-        }
-
 
 def flops_estimate(cfg: VitConfig, spec: ReduceSpec,
                    placement: ReducePlacement = ReducePlacement.BEFORE_MLP
@@ -424,7 +404,7 @@ def save_weights(path: str, model: VitModel) -> None:
             for d in arr.shape:
                 fh.write(struct.pack("<I", d))
             fh.write(arr.data)
-        blob = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
+        blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
 
@@ -482,7 +462,7 @@ def load_weights(path: str) -> VitModel:
 
     try:
         cfg = VitConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (RecursionError, TypeError, ValueError) as exc:  # RecursionError: JSON too deep
         raise WeightShapeError(f"invalid TFW1 config blob: {exc}") from exc
 
     # the class count is whatever head.weight holds, so its check rests on C

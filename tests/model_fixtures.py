@@ -2,6 +2,7 @@
 the highway path's reduces."""
 
 import contextlib
+import dataclasses
 import json
 import pathlib
 import struct
@@ -30,14 +31,20 @@ def identity_mlp_model(depth=2, channels=4, heads=2, seed=0):
     return model
 
 
-def rewrite_tfw_config(path, config, **changes) -> None:
-    """Replace the config blob that ends a TFW1 file saved for config."""
+def replace_tfw_config_blob(path, config, new: bytes) -> None:
+    """Replace the config blob that ends a TFW1 file saved for config by new."""
     path = pathlib.Path(path)
     blob = path.read_bytes()
-    old = json.dumps(config.to_dict(), sort_keys=True).encode()
+    old = json.dumps(dataclasses.asdict(config), sort_keys=True).encode()
     assert blob.endswith(old)
-    new = json.dumps(dict(config.to_dict(), **changes), sort_keys=True).encode()
     path.write_bytes(blob[: -4 - len(old)] + struct.pack("<I", len(new)) + new)
+
+
+def rewrite_tfw_config(path, config, **changes) -> None:
+    """Replace the config blob that ends a TFW1 file saved for config by
+    config's fields, updated with changes."""
+    new = dict(dataclasses.asdict(config), **changes)
+    replace_tfw_config_blob(path, config, json.dumps(new, sort_keys=True).encode())
 
 
 @contextlib.contextmanager

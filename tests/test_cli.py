@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from model_fixtures import identity_mlp_model, rewrite_tfw_config
-from tofu import cli, highway, vit
+from tofu import cli, highway, linearity, vit
 from tofu.tensor import read_ttf, write_ttf
 
 
@@ -177,6 +179,30 @@ class TestFl:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys):
+        wpath, tpath = self.make_fixture(tmp_path)
+        rewrite_tfw_config(wpath, identity_mlp_model(depth=2).config, dpeth=7)
+        assert run_cli("fl", "--model", wpath, "--tokens", tpath) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid TFW1 config blob")
+        assert "Traceback" not in err
+
+    def test_vit_tiny_seed0_report_bytes_anchor(self, tmp_path, monkeypatch):
+        # frozen once from this profiler and writer. Each pair's ratio comes
+        # from a fixed sequence, every seventh undefined, so the hash pins
+        # the per-layer aggregates and the JSON layout but not the float32
+        # rounding of whichever BLAS kernel runs the model.
+        ratios = (None if k % 7 == 6 else 1.0 / (k + 2) for k in itertools.count())
+        monkeypatch.setattr(linearity, "functional_linearity", lambda *a: next(ratios))
+        wpath, tpath, out = tmp_path / "m.tfw", tmp_path / "t.ttf", tmp_path / "fl.json"
+        assert run_cli("--seed", "0", "gen", "--arch", "vit-tiny", "--image", "64",
+                       "--batch", "2", "--out-weights", str(wpath),
+                       "--out-tokens", str(tpath)) == 0
+        assert run_cli("fl", "--model", str(wpath), "--tokens", str(tpath),
+                       "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ef081a6e01c21eb47f0896e9af427e5343b72ce29b4f6619fe51bf3ea28dc5fd")
+
 
 class TestFlops:
     def test_vitb16_full(self, tmp_path, capsys):
@@ -209,6 +235,15 @@ class TestFlops:
         text = out.read_text()
         assert text.count("\n") == 1  # compact: one line
         assert cli._dump_json(json.loads(text)) == text
+
+    def test_vitb16_r16_report_bytes_anchor(self, tmp_path):
+        # frozen once from this cost model and writer
+        out = tmp_path / "f.json"
+        assert run_cli("flops", "--arch", "vit-b16", "--r", "16", "--out", str(out)) == 0
+        blob = out.read_bytes()
+        assert len(blob) == 1113
+        assert hashlib.sha256(blob).hexdigest() == (
+            "553c6a2e6ec4d7b05d11fed7352b4a15ef772b2329ca9f4a142d16c876d025a9")
 
 
 @pytest.mark.parametrize("command", [
@@ -244,7 +279,11 @@ class TestBench:
         for row in report["rows"]:
             assert row["p10_ms"] <= row["median_ms"] <= row["p90_ms"]
             assert row["images_per_s"] > 0
-        assert report["config"]["repeat"] == 3
+        assert report["config"] == {
+            "vit": {"depth": 12, "channels": 192, "heads": 3, "mlp_ratio": 4,
+                    "patch": 16, "image": 64, "cls_token": True},
+            "batch": 2, "r": 4, "repeat": 3, "warmup": 1, "seed": 0,
+            "mode": "normal", "mbm": {"enabled": False, "t": 1.0}}
         assert cli._dump_json(report) == text  # schema round-trips byte-stable
 
     def test_highway_mode(self, tmp_path):
@@ -280,6 +319,17 @@ class TestBench:
     def test_unknown_method_is_usage_error(self):
         assert run_cli_usage_error("bench", "--arch", "vit-tiny",
                                    "--methods", "full,quantum") == 2
+
+    @pytest.mark.parametrize("methods", ["", ",", " , "])
+    def test_empty_method_list_is_usage_error(self, methods, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--methods", methods,
+                                   "--out", "b.json") == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_mbm_without_highway_is_usage_error(self):
+        # normal mode never masks, so the report would claim MBM that did not run
+        assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--mbm") == 2
 
 
 def test_log_env_var_accepted(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from model_fixtures import rewrite_tfw_config
+from model_fixtures import replace_tfw_config_blob, rewrite_tfw_config
 from oracles import reference_attention, token_decay
 from tofu import highway, vit
 from tofu.fusion import MergeMethod, ReduceSpec, parse_merge_string
@@ -358,7 +358,7 @@ class TestWeightFile:
                  + struct.pack("<I", 1) + struct.pack("<f", 1.0))
         (count,) = struct.unpack_from("<I", blob, 4)
         struct.pack_into("<I", blob, 4, count + 1)
-        cfg_json = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+        cfg_json = json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode()
         body = bytes(blob[: len(blob) - 4 - len(cfg_json)])
         path.write_bytes(body + extra + struct.pack("<I", len(cfg_json)) + cfg_json)
         with pytest.raises(vit.WeightShapeError, match="rogue"):
@@ -388,6 +388,37 @@ class TestWeightFile:
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
         rewrite_tfw_config(path, model.config, **change)
+        with pytest.raises(vit.WeightShapeError, match="invalid TFW1 config blob"):
+            vit.load_weights(str(path))
+
+    @pytest.mark.parametrize("key,value", [("mlp_ratoi", 2), ("dpeth", 7)])
+    def test_unknown_config_key_rejected(self, tmp_path, key, value):
+        # a misspelled optional key would otherwise leave its field at the default
+        model = tiny_model()
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        rewrite_tfw_config(path, model.config, **{key: value})
+        with pytest.raises(vit.WeightShapeError, match=f"invalid TFW1 config blob: .*{key}"):
+            vit.load_weights(str(path))
+
+    def test_missing_config_key_rejected(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        cfg = dataclasses.asdict(model.config)
+        del cfg["heads"]
+        replace_tfw_config_blob(path, model.config, json.dumps(cfg).encode())
+        with pytest.raises(vit.WeightShapeError, match="invalid TFW1 config blob: .*heads"):
+            vit.load_weights(str(path))
+
+    @pytest.mark.parametrize("blob", [
+        b"[]", b"3", b"null", b'"x"',
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deeply-nested")])
+    def test_config_blob_not_an_object_rejected(self, tmp_path, blob):
+        model = tiny_model()
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        replace_tfw_config_blob(path, model.config, blob)
         with pytest.raises(vit.WeightShapeError, match="invalid TFW1 config blob"):
             vit.load_weights(str(path))
 
