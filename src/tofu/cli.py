@@ -111,18 +111,24 @@ def _arch_config(args) -> vit.VitConfig:
         patch=cfg.patch if args.patch is None else args.patch)
 
 
-def _trace_dict(trace: fusion.ReduceTrace) -> dict:
+def _trace_dicts(trace: fusion.ReduceTrace) -> list[dict]:
+    """One JSON object per sequence of a batched trace."""
     m = trace.match
-    return {
-        "src": np.arange(1, trace.n_input, 2).tolist(),
-        "dst": np.arange(0, trace.n_input, 2).tolist(),
-        "idx_src": m.idx_src.tolist(),
-        "idx_dst": m.idx_dst.tolist(),
-        "scores": m.scores.tolist(),
+    src = list(range(1, trace.n_input, 2))
+    dst = list(range(0, trace.n_input, 2))
+    per_item = zip(m.idx_src.tolist(), m.idx_dst.tolist(), m.scores.tolist(),
+                   (trace.mlerp_degenerate_groups > 0).tolist(),
+                   trace.output_index_of_input.tolist())
+    return [{
+        "src": src,
+        "dst": dst,
+        "idx_src": idx_src,
+        "idx_dst": idx_dst,
+        "scores": scores,
         "clamped": m.clamped,
-        "mlerp_degenerate": trace.mlerp_degenerate,
-        "output_index_of_input": trace.output_index_of_input.tolist(),
-    }
+        "mlerp_degenerate": degenerate,
+        "output_index_of_input": out_map,
+    } for idx_src, idx_dst, scores, degenerate, out_map in per_item]
 
 
 def cmd_reduce(args) -> int:
@@ -136,13 +142,10 @@ def cmd_reduce(args) -> int:
         raise FormatError(
             f"{args.input}: input {x.shape} and metric {metric.shape} must be "
             "matching (N, C) or (B >= 1, N, C) tensors")
-    method = fusion.MergeMethod(args.method)
-    items = [fusion.apply_reduce(x[i], metric[i], method, args.r)
-             for i in range(x.shape[0])]
-    reduced = np.stack([it[0] for it in items])
-    traces = [_trace_dict(it[1]) for it in items]
+    reduced, trace = fusion.apply_reduce(x, metric, fusion.MergeMethod(args.method), args.r)
     write_ttf(args.out, reduced[0] if squeeze else reduced)
     if args.trace:
+        traces = _trace_dicts(trace)
         _write_json(args.trace, traces[0] if squeeze else traces)
     log.info("reduced %s tokens -> %s", x.shape[1], reduced.shape[1])
     return 0
@@ -155,8 +158,7 @@ def cmd_fl(args) -> int:
         tokens = tokens[None]
     if len(tokens) == 0:
         raise FormatError(f"{args.tokens}: token dump holds no sequences")
-    cfg = linearity.FlConfig(n_steps=args.steps, pair_r=args.r,
-                             layer_selector=args.selector)
+    cfg = linearity.FlConfig(n_steps=args.steps, pair_r=args.r)
     report = linearity.profile_model(model, tokens, cfg)
     text = report.to_json() + "\n"
     if args.out:
@@ -325,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", required=True, help="TTF1 token tensor")
     p.add_argument("--steps", type=int, default=21)
     p.add_argument("--r", type=int, default=5, help="pairs per sequence")
-    p.add_argument("--selector", choices=["mlp", "block_mlp"], default="mlp")
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_fl)
 

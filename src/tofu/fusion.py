@@ -13,6 +13,8 @@ global index, then every DST token in ascending global index. A ReduceTrace
 records where each input row went, which is what unmerge and the highway
 path use to restore or redistribute full-length sequences.
 Merges recompute only touched destinations, in float64; the rest pass through.
+The reduce takes one (N, C) sequence or a (B, N, C) batch, and a batch item
+gets exactly the bits it gets alone.
 
 Every schedule is a string of 'P' (prune) and 'A' (late method), one
 character per layer; the hybrid d-threshold spec is compiled into one.
@@ -25,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .matching import MatchResult, bipartite_soft_match
+from .matching import MatchResult, bipartite_soft_match, flat_index
 from .tensor import FLOAT
 
 MLERP_DEGENERATE_EPS = 1e-12
@@ -66,21 +68,29 @@ class ReduceTrace:
     """Bookkeeping from one reduce: where every input row ended up.
 
     output_index_of_input maps each of the N input global indices to its
-    output row; merged sources map to their destination's row. Surjective
-    onto the reduced rows, injective on the non-merged inputs.
+    output row, (N,) for one sequence and (B, N) for a batch; merged sources
+    map to their destination's row. Per item it is surjective onto the
+    reduced rows and injective on the non-merged inputs. mlerp_degenerate_groups
+    counts each item's MLERP groups that fell back to the plain mean (0 for
+    the other methods): a number for one sequence, (B,) for a batch.
     """
 
     match: MatchResult
     output_index_of_input: np.ndarray
-    mlerp_degenerate: bool = False
+    mlerp_degenerate_groups: np.ndarray
+
+    @property
+    def mlerp_degenerate(self) -> bool:
+        """True if any item had a degenerate MLERP group."""
+        return bool(np.any(self.mlerp_degenerate_groups))
 
     @property
     def n_input(self) -> int:
-        return len(self.output_index_of_input)
+        return self.output_index_of_input.shape[-1]
 
     @property
     def n_output(self) -> int:
-        return self.n_input - len(self.match.idx_src)
+        return self.n_input - self.match.idx_src.shape[-1]
 
 
 def merge_pruned(dst_rows: np.ndarray, src_rows: np.ndarray,
@@ -93,14 +103,17 @@ def _group_mean(dst_rows: np.ndarray, src_rows: np.ndarray,
                 idx_dst_local: np.ndarray) -> tuple[np.ndarray, ...]:
     """Float64 mean of {dst} union {its srcs} for each touched destination.
 
-    Returns (touched, slot, rows, means): touched destinations ascending,
-    each source's position in touched, the float64 [touched dst; src] rows
-    and one mean per touched destination.
+    dst_rows is (M, C); src_rows holds the k source rows (any leading
+    shape) and idx_dst_local their k rows of dst_rows. Returns (touched,
+    slot, rows, means): touched destinations ascending, each source's
+    position in touched, the float64 [touched dst; src] rows and one mean
+    per touched destination.
     """
     sizes = np.bincount(idx_dst_local, minlength=len(dst_rows))
     touched = np.flatnonzero(sizes)
     slot = np.searchsorted(touched, idx_dst_local)
-    rows = np.concatenate([dst_rows[touched], src_rows], dtype=np.float64)
+    rows = np.concatenate([dst_rows[touched], src_rows.reshape(-1, dst_rows.shape[1])],
+                          dtype=np.float64)
     acc = rows[:len(touched)].copy()
     np.add.at(acc, slot, rows[len(touched):])
     return touched, slot, rows, acc / (sizes[touched] + 1.0)[:, None]
@@ -108,22 +121,34 @@ def _group_mean(dst_rows: np.ndarray, src_rows: np.ndarray,
 
 def merge_average(dst_rows: np.ndarray, src_rows: np.ndarray,
                   idx_dst_local: np.ndarray) -> np.ndarray:
-    """Scatter-mean the sources into their destinations, dst value included."""
-    touched, _, _, means = _group_mean(dst_rows, src_rows, idx_dst_local)
+    """Scatter-mean the sources into their destinations, dst value included.
+
+    One item: dst_rows (D, C), src_rows (k, C), idx_dst_local (k,). A batch
+    adds a leading B to each.
+    """
     out = dst_rows.copy()
-    out[touched] = means.astype(FLOAT)
+    flat = out.reshape(-1, out.shape[-1])  # a view: the copy is contiguous
+    touched, _, _, means = _group_mean(
+        flat, src_rows, flat_index(idx_dst_local, out.shape[-2]))
+    flat[touched] = means.astype(FLOAT)
     return out
 
 
 def merge_mlerp(dst_rows: np.ndarray, src_rows: np.ndarray,
-                idx_dst_local: np.ndarray) -> tuple[np.ndarray, bool]:
+                idx_dst_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norm-preserving merge: mean direction scaled to the group's max norm.
 
-    Returns (rows, degenerate). A group whose mean cancels to ~zero cannot
-    be given a direction; it falls back to the plain mean (a near-zero row)
-    and raises the degenerate flag instead of erroring mid-inference.
+    Shapes as in merge_average. Returns (rows, degenerate): degenerate
+    counts each item's groups whose mean cancels to ~zero, a 0-d count for
+    one item and (B,) for a batch. Such a group cannot be given a
+    direction; it falls back to the plain mean (a near-zero row) instead of
+    erroring mid-inference.
     """
-    touched, slot, rows, means = _group_mean(dst_rows, src_rows, idx_dst_local)
+    out = dst_rows.copy()
+    flat = out.reshape(-1, out.shape[-1])
+    n_dst = out.shape[-2]
+    touched, slot, rows, means = _group_mean(
+        flat, src_rows, flat_index(idx_dst_local, n_dst))
     norms = np.sqrt((rows ** 2).sum(axis=1))
     norm_max = norms[:len(touched)]
     np.maximum.at(norm_max, slot, norms[len(touched):])
@@ -134,37 +159,49 @@ def merge_mlerp(dst_rows: np.ndarray, src_rows: np.ndarray,
     # v exactly; a degenerate group keeps factor 1.0, i.e. its plain mean
     scale = np.divide(norm_max, mean_norms, out=np.ones_like(norm_max),
                       where=~degenerate)
-    out = dst_rows.copy()
-    out[touched] = (means * scale[:, None]).astype(FLOAT)
-    return out, bool(degenerate.any())
+    flat[touched] = (means * scale[:, None]).astype(FLOAT)
+    counts = np.bincount(touched[degenerate] // n_dst, minlength=len(flat) // n_dst)
+    return out, counts.reshape(idx_dst_local.shape[:-1])
 
 
 def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
                  r: int) -> tuple[np.ndarray, ReduceTrace]:
     """Reduce an (N, C) token slice to (N - r, C) by fusing matched pairs.
 
-    metric supplies the similarity features (same leading length as x).
-    Output rows are [unchanged SRC ascending, all DST ascending]; the trace
-    records the full input-to-output index map. r beyond |SRC| clamps with
-    a flag on the underlying match.
+    A (B, N, C) batch reduces to (B, N - r, C) in one call, every item
+    bitwise as it reduces alone, with a batched trace: (B, r) match arrays,
+    a (B, N) index map and (B,) degenerate counts. metric supplies the
+    similarity features (the leading axes of x, any last axis). Output rows
+    are [unchanged SRC ascending, all DST ascending]; the trace records the
+    full input-to-output index map. r beyond |SRC| clamps with a flag on
+    the underlying match.
     """
     x = np.asarray(x, dtype=FLOAT)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError(f"apply_reduce needs an (N>=2, C) slice, got {x.shape}")
-    if np.shape(metric)[:1] != x.shape[:1]:
-        raise ValueError(f"metric {np.shape(metric)} must have the rows of x {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-2] < 2:
+        raise ValueError(
+            f"apply_reduce needs an (N>=2, C) slice or a (B, N>=2, C) batch, got {x.shape}")
+    metric = np.asarray(metric)
+    if metric.shape[:-1] != x.shape[:-1]:
+        raise ValueError(f"metric {metric.shape} must have the rows of x {x.shape}")
 
     match = bipartite_soft_match(metric, r)
+    idx_src, idx_dst = match.idx_src, match.idx_dst
+    one = x.ndim == 2
+    if one:
+        x, idx_src, idx_dst = x[None], idx_src[None], idx_dst[None]
 
     # SRC/DST are the odd/even rows, so global index >> 1 is the local one
-    keep = np.ones(x.shape[0] // 2, dtype=bool)
-    keep[match.idx_src >> 1] = False
-    unchanged = 2 * np.flatnonzero(keep) + 1
-    dst_rows = x[0::2]
-    src_rows = x[match.idx_src]
-    idx_dst_local = match.idx_dst >> 1
+    b, n, _ = x.shape
+    items = np.arange(b)[:, None]
+    n_unchanged = n // 2 - idx_src.shape[1]
+    keep = np.ones((b, n // 2), dtype=bool)
+    keep[items, idx_src >> 1] = False
+    unchanged = 2 * np.nonzero(keep)[1].reshape(b, n_unchanged) + 1
+    dst_rows = x[:, 0::2]
+    src_rows = x[items, idx_src]
+    idx_dst_local = idx_dst >> 1
 
-    degenerate = False
+    degenerate = np.zeros(b, dtype=np.int64)
     if method is MergeMethod.PRUNED:
         merged = merge_pruned(dst_rows, src_rows, idx_dst_local)
     elif method is MergeMethod.AVERAGE:
@@ -174,13 +211,15 @@ def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
     else:
         raise ValueError(f"unknown merge method: {method!r}")
 
-    reduced = np.concatenate([x[unchanged], merged], axis=0)
+    reduced = np.concatenate([x[items, unchanged], merged], axis=1)
 
-    out_map = np.empty(x.shape[0], dtype=np.int64)
-    out_map[unchanged] = np.arange(len(unchanged))
-    out_map[0::2] = np.arange(len(unchanged), len(reduced))
-    out_map[match.idx_src] = out_map[match.idx_dst]
-    return reduced, ReduceTrace(match, out_map, mlerp_degenerate=degenerate)
+    out_map = np.empty((b, n), dtype=np.int64)
+    out_map[items, unchanged] = np.arange(n_unchanged)
+    out_map[:, 0::2] = np.arange(n_unchanged, reduced.shape[1])
+    out_map[items, idx_src] = out_map[items, idx_dst]
+    if one:
+        return reduced[0], ReduceTrace(match, out_map[0], degenerate[0])
+    return reduced, ReduceTrace(match, out_map, degenerate)
 
 
 def unmerge(reduced: np.ndarray, trace: ReduceTrace) -> np.ndarray:

@@ -29,15 +29,12 @@ class FlConfig:
 
     n_steps: int = 21
     pair_r: int = 5  # matched pairs probed per sequence and layer
-    layer_selector: str = "mlp"  # "mlp" or "block_mlp" (residual included)
 
     def __post_init__(self):
         if self.n_steps < 3:
             raise ValueError(f"n_steps must be >= 3, got {self.n_steps}")
         if self.pair_r < 0:
             raise ValueError(f"pair_r must be >= 0, got {self.pair_r}")
-        if self.layer_selector not in ("mlp", "block_mlp"):
-            raise ValueError(f"unknown layer selector {self.layer_selector!r}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,11 @@ def _aggregate(layer: int, values: list[float]) -> FlLayerStats:
 def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
     """Per-layer linearity of a block stack's MLP sub-maps.
 
-    Runs the stack without reduction, and at each layer probes the MLP (or,
-    with layer_selector "block_mlp", the MLP plus its residual) on pairs of
-    its actual inputs: up to cfg.pair_r pairs per sequence, chosen by
-    bipartite matching on that layer's attention keys. Undefined ratios are
-    dropped from the aggregates; a layer with no usable pair reports count 0.
+    Runs the stack without reduction, and at each layer probes the MLP on
+    pairs of its actual inputs: up to cfg.pair_r pairs per sequence, chosen
+    by one batched bipartite matching on that layer's attention keys.
+    Undefined ratios are dropped from the aggregates; a layer with no usable
+    pair reports count 0.
     """
     # local import; vit depends on fusion which depends on matching
     from . import vit
@@ -143,17 +140,13 @@ def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
             layernorm(x, w.norm1_gamma, w.norm1_beta), w, model.config.heads)
         x_star = x + attn_out
         mlp_in = layernorm(x_star, w.norm2_gamma, w.norm2_beta)
-
-        if cfg.layer_selector == "mlp":
-            f = lambda v, w=w: vit.mlp_map(v, w)
-        else:
-            f = lambda v, w=w: np.asarray(v, dtype=np.float32) + vit.mlp_map(v, w)
+        f = lambda v, w=w: vit.mlp_map(v, w)
 
         values: list[float] = []
         if x.shape[1] >= 2 and cfg.pair_r > 0:
-            for b in range(x.shape[0]):
-                m = bipartite_soft_match(keys[b], cfg.pair_r)
-                for s, d in zip(m.idx_src, m.idx_dst):
+            m = bipartite_soft_match(keys, cfg.pair_r)
+            for b, (srcs, dsts) in enumerate(zip(m.idx_src, m.idx_dst)):
+                for s, d in zip(srcs, dsts):
                     fl = functional_linearity(f, mlp_in[b, s], mlp_in[b, d], cfg.n_steps)
                     if fl is not None:
                         values.append(fl)

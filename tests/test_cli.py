@@ -88,14 +88,25 @@ class TestReduce:
         assert np.array_equal(np.sort(reduced, axis=0), np.sort(x, axis=0))
 
     def test_batched_input(self, tmp_path):
+        # one batched run, then each sequence alone as an (N, C) dump: the
+        # rows and the trace object of sequence i are entry i of the batch
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 8, 4)).astype(np.float32)
-        xp = tmp_path / "x.ttf"
+        x[1, 3] = 0.0
+        xp, xi = tmp_path / "x.ttf", tmp_path / "xi.ttf"
+        out, trace = tmp_path / "o.ttf", tmp_path / "t.json"
         write_ttf(str(xp), x)
-        out = tmp_path / "o.ttf"
-        assert run_cli("reduce", "--input", str(xp), "--r", "2",
-                       "--method", "pruned", "--out", str(out)) == 0
-        assert read_ttf(str(out)).shape == (3, 6, 4)
+        for method in ("pruned", "average", "mlerp"):
+            assert run_cli("reduce", "--input", str(xp), "--r", "2", "--method", method,
+                           "--out", str(out), "--trace", str(trace)) == 0
+            reduced, traces = read_ttf(str(out)), json.loads(trace.read_text())
+            assert reduced.shape == (3, 6, 4) and len(traces) == 3
+            for i in range(3):
+                write_ttf(str(xi), x[i])
+                assert run_cli("reduce", "--input", str(xi), "--r", "2", "--method", method,
+                               "--out", str(out), "--trace", str(trace)) == 0
+                assert read_ttf(str(out)).tobytes() == reduced[i].tobytes()
+                assert json.loads(trace.read_text()) == traces[i]
 
     def test_bogus_method_is_usage_error(self, tmp_path):
         _, xp, kp = self.make_inputs(tmp_path)
@@ -152,6 +163,11 @@ class TestFl:
         wpath, tpath = self.make_fixture(tmp_path)
         assert run_cli_usage_error("fl", "--model", wpath, "--tokens", tpath,
                                    "--r", "-3") == 2
+
+    def test_selector_flag_is_gone(self, tmp_path):
+        wpath, tpath = self.make_fixture(tmp_path)
+        assert run_cli_usage_error("fl", "--model", wpath, "--tokens", tpath,
+                                   "--selector", "mlp") == 2
 
     def test_deterministic_across_runs(self, tmp_path):
         wpath, tpath = self.make_fixture(tmp_path)

@@ -103,6 +103,58 @@ class TestApplyReduce:
                 assert got.tobytes() == want.tobytes()
 
 
+class TestBatchAxis:
+    @staticmethod
+    def batch(rng, kind, n):
+        if kind == "signs":
+            # one channel of +-1: a source opposite every destination merges
+            # into DST 0, and a {+1, -1} MLERP group is degenerate
+            x = rng.choice([-1.0, 1.0], size=(5, n, 1))
+            x[1, 0::2], x[1, 1::2] = 1.0, -1.0
+        elif kind == "grid":
+            x = rng.integers(-2, 3, size=(5, n, 3))  # exact similarity ties
+        else:
+            x = rng.standard_normal((5, n, 4))
+        x = x.astype(np.float32)
+        x[0, n // 2] = 0.0  # a zero-norm row
+        return x
+
+    @pytest.mark.parametrize("block", [matching.MATCH_BLOCK_ITEMS, 2])
+    @pytest.mark.parametrize("method", list(MergeMethod))
+    def test_batch_equals_per_item_calls(self, method, block, monkeypatch):
+        monkeypatch.setattr(matching, "MATCH_BLOCK_ITEMS", block)
+        rng = np.random.default_rng(7)
+        degenerate = 0
+        for n in (2, 3, 10, 11, 24):
+            for kind in ("normal", "grid", "signs"):
+                x = self.batch(rng, kind, n)
+                for r in (1, n // 2, n // 2 + 2):  # the last one clamps
+                    reduced, trace = fusion.apply_reduce(x, x, method, r)
+                    m = trace.match
+                    assert reduced.shape == (5, n - min(r, n // 2), x.shape[2])
+                    assert trace.n_input == n and trace.n_output == reduced.shape[1]
+                    assert trace.mlerp_degenerate == bool(trace.mlerp_degenerate_groups.any())
+                    for i in range(5):
+                        one, t = fusion.apply_reduce(x[i], x[i], method, r)
+                        assert reduced[i].tobytes() == one.tobytes()
+                        assert trace.output_index_of_input[i].tolist() == \
+                            t.output_index_of_input.tolist()
+                        assert m.idx_src[i].tolist() == t.match.idx_src.tolist()
+                        assert m.idx_dst[i].tolist() == t.match.idx_dst.tolist()
+                        assert m.scores[i].tobytes() == t.match.scores.tobytes()
+                        assert m.clamped == t.match.clamped
+                        assert trace.mlerp_degenerate_groups[i] == t.mlerp_degenerate_groups
+                    degenerate += int(trace.mlerp_degenerate_groups.sum())
+        assert (degenerate > 0) == (method is MergeMethod.MLERP)
+
+    def test_metric_must_share_the_batch_rows(self):
+        x = np.zeros((2, 6, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="metric"):
+            fusion.apply_reduce(x, x[0], MergeMethod.PRUNED, 1)
+        with pytest.raises(ValueError, match="metric"):
+            fusion.apply_reduce(x, x[:1], MergeMethod.PRUNED, 1)
+
+
 class TestMergeKernels:
     def test_pruned_passthrough(self):
         dst = np.random.default_rng(3).standard_normal((4, 5)).astype(np.float32)

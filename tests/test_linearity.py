@@ -191,8 +191,6 @@ def test_config_validation():
         FlConfig(n_steps=2)
     with pytest.raises(ValueError):
         FlConfig(pair_r=-1)
-    with pytest.raises(ValueError):
-        FlConfig(layer_selector="nope")
 
 
 def test_profile_identity_mlp_is_one():

@@ -158,3 +158,28 @@ def test_match_result_index_membership():
     assert set(m.idx_src.tolist()) <= src_set
     assert set(m.idx_dst.tolist()) <= dst_set
     assert len(set(m.idx_src.tolist())) == len(m.idx_src)  # sources unique
+
+
+@pytest.mark.parametrize("block", [matching.MATCH_BLOCK_ITEMS, 2])
+@pytest.mark.parametrize("n", [2, 7, 12, 33])
+def test_batch_equals_per_item_calls(n, block, monkeypatch):
+    # a block of 2 items splits the batch of 5 into three similarity blocks
+    monkeypatch.setattr(matching, "MATCH_BLOCK_ITEMS", block)
+    rng = np.random.default_rng(n)
+    for grid in (False, True):  # integer grids manufacture exact ties
+        metric = (rng.integers(-2, 3, size=(5, n, 3)) if grid
+                  else rng.standard_normal((5, n, 3))).astype(np.float32)
+        metric[1, n - 1] = 0.0
+        metric[3, 0] = 0.0
+        sims = matching.similarity_matrix(metric)
+        assert sims.shape == (5, n // 2, (n + 1) // 2)
+        for r in (0, 1, n // 2, n // 2 + 3):
+            m = matching.bipartite_soft_match(metric, r)
+            assert m.idx_src.shape == m.idx_dst.shape == m.scores.shape == (5, min(r, n // 2))
+            for i in range(5):
+                one = matching.bipartite_soft_match(metric[i], r)
+                assert sims[i].tobytes() == matching.similarity_matrix(metric[i]).tobytes()
+                assert m.idx_src[i].tolist() == one.idx_src.tolist()
+                assert m.idx_dst[i].tolist() == one.idx_dst.tolist()
+                assert m.scores[i].tobytes() == one.scores.tobytes()
+                assert m.clamped == one.clamped == (r > n // 2)
