@@ -177,9 +177,9 @@ def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
     the underlying match.
     """
     x = np.asarray(x, dtype=FLOAT)
-    if x.ndim not in (2, 3) or x.shape[-2] < 2:
+    if x.ndim not in (2, 3) or x.shape[-2] < 2 or x.shape[0] < 1:
         raise ValueError(
-            f"apply_reduce needs an (N>=2, C) slice or a (B, N>=2, C) batch, got {x.shape}")
+            f"apply_reduce needs an (N>=2, C) slice or a (B>=1, N>=2, C) batch, got {x.shape}")
     metric = np.asarray(metric)
     if metric.shape[:-1] != x.shape[:-1]:
         raise ValueError(f"metric {metric.shape} must have the rows of x {x.shape}")
@@ -226,14 +226,19 @@ def unmerge(reduced: np.ndarray, trace: ReduceTrace) -> np.ndarray:
     """Expand a reduced slice back to input length by copying merged rows.
 
     Every input position receives the row its trace entry points at, so
-    positions fused together come back as identical copies.
+    positions fused together come back as identical copies. An (M, C) slice
+    takes a one-sequence trace and gives (N, C); (B, M, C) rows take the
+    batched trace of their apply_reduce call and give (B, N, C).
     """
     reduced = np.asarray(reduced, dtype=FLOAT)
-    if reduced.ndim != 2 or reduced.shape[0] != trace.n_output:
+    index = trace.output_index_of_input
+    if reduced.shape[:-1] != index.shape[:-1] + (trace.n_output,):
         raise ValueError(
             f"reduced shape {reduced.shape} does not match trace output "
-            f"length {trace.n_output}")
-    return reduced[trace.output_index_of_input]
+            f"length {trace.n_output} over maps {index.shape}")
+    if index.ndim == 1:
+        return reduced[index]
+    return reduced[np.arange(len(index))[:, None], index]
 
 
 def parse_merge_string(s: str, late_method: MergeMethod,

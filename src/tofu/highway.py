@@ -16,7 +16,7 @@ import numpy as np
 
 from .fusion import MergeMethod, ReduceSpec, apply_reduce, layer_methods
 from .tensor import FLOAT, layernorm
-from .vit import BlockWeights, VitModel, attention, mlp_map, _effective_r
+from .vit import BlockWeights, VitModel, attention, check_batch, mlp_map, _effective_r
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,8 @@ class HighwayState:
 
 
 def init_state(x: np.ndarray) -> HighwayState:
-    x = np.asarray(x, dtype=FLOAT)
-    if x.ndim != 3:
-        raise ValueError(f"highway input must be (B, N, C), got {x.shape}")
+    """Both paths at the input; a batch not (B >= 1, N, C) raises ShapeError."""
+    x = check_batch(x, "highway")
     b, n, _ = x.shape
     return HighwayState(
         x_full=x.copy(),
@@ -129,8 +128,8 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
         affected = affected | (sizes[rows, index] > 1)
 
     x_full = state.x_full
-    f_attn, _ = attention(
-        layernorm(x_local, w.norm1_gamma, w.norm1_beta), w, n_heads)
+    f_attn = attention(
+        layernorm(x_local, w.norm1_gamma, w.norm1_beta), w, n_heads)[0]
     x_full = _distribute_add(x_full, f_attn, index, affected, mbm)
     f_attn += x_local
     x_local = f_attn
@@ -159,6 +158,7 @@ def highway_forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
 
     Returns the full-length output and the local token count after each
     layer. With r = 0 everywhere this is exactly the plain forward pass.
+    Tokens that are not a (B >= 1, N, C) batch raise ShapeError.
     """
     state = init_state(x)
     cfg = model.config

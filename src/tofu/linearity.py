@@ -125,15 +125,14 @@ def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
     pairs of its actual inputs: up to cfg.pair_r pairs per sequence, chosen
     by one batched bipartite matching on that layer's attention keys.
     Undefined ratios are dropped from the aggregates; a layer with no usable
-    pair reports count 0.
+    pair reports count 0. Tokens that are not a (B >= 1, N, C) batch raise
+    ShapeError.
     """
     # local import; vit depends on fusion which depends on matching
     from . import vit
     from .tensor import layernorm
 
-    x = np.asarray(tokens, dtype=np.float32)
-    if x.ndim != 3:
-        raise ValueError(f"tokens must be (B, N, C), got {x.shape}")
+    x = vit.check_batch(tokens, "profile_model")
     stats = []
     for l, w in enumerate(model.blocks):
         attn_out, keys = vit.attention(
@@ -144,7 +143,7 @@ def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
 
         values: list[float] = []
         if x.shape[1] >= 2 and cfg.pair_r > 0:
-            m = bipartite_soft_match(keys, cfg.pair_r)
+            m = bipartite_soft_match(vit.head_mean(keys), cfg.pair_r)
             for b, (srcs, dsts) in enumerate(zip(m.idx_src, m.idx_dst)):
                 for s, d in zip(srcs, dsts):
                     fl = functional_linearity(f, mlp_in[b, s], mlp_in[b, d], cfg.n_steps)

@@ -53,9 +53,9 @@ class MatchResult:
 
 
 def _check_metric(metric: np.ndarray) -> None:
-    if metric.ndim not in (2, 3) or metric.shape[-2] < 2:
+    if metric.ndim not in (2, 3) or metric.shape[-2] < 2 or metric.shape[0] < 1:
         raise ValueError(
-            f"metric must be (N >= 2, C) or (B, N >= 2, C) rows, got {metric.shape}")
+            f"metric must be (N >= 2, C) or (B >= 1, N >= 2, C) rows, got {metric.shape}")
 
 
 def similarity_matrix(metric: np.ndarray) -> np.ndarray:

@@ -83,20 +83,24 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D array, stabilized by max subtraction.
+    """Softmax over the last axis of an array of any rank >= 1, stabilized
+    by max subtraction.
 
-    The shift and the exponentials are float32 on one fresh array, the row
-    sums accumulate in float64. A row spanning more than the float32 range
-    shifts its smallest entries to -inf, whose exponential is the 0 that
-    float64 gives too.
+    Each row along the last axis is normalised as the rows of a 2-D array
+    are, whatever the leading axes. The shift and the exponentials are
+    float32 on one fresh array, the row sums accumulate in float64; a view
+    whose last axis is strided, such as a transpose, may add those sums in
+    another order, a few float64 steps apart before the float32 cast. A row
+    spanning more than the float32 range shifts its smallest entries to
+    -inf, whose exponential is the 0 that float64 gives too.
     """
     x = np.asarray(x, dtype=FLOAT)
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-D array, got {x.shape}")
+    if x.ndim < 1:
+        raise ShapeError(f"softmax_rows expects at least one axis, got {x.shape}")
     with np.errstate(over="ignore"):
-        e = x - x.max(axis=1, keepdims=True)
+        e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True, dtype=np.float64).astype(FLOAT)
+    e /= e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(FLOAT)
     return e
 
 

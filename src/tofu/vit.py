@@ -138,8 +138,9 @@ def attention(x: np.ndarray, w: BlockWeights, n_heads: int
 
     The qkv and output projections are each one GEMM over all B*N rows;
     only the scores and their weighted sum are per item and head.
-    Returns the projected output and the per-token keys averaged over heads,
-    which downstream matching uses as its similarity metric.
+    Returns the projected output and the per-head keys, (B, H, N, dh), a
+    view of the qkv buffer: a caller that matches on them takes their
+    head_mean, and one that does not drops them, which frees the buffer.
     """
     x = np.asarray(x, dtype=FLOAT)
     if x.ndim != 3:
@@ -159,14 +160,20 @@ def attention(x: np.ndarray, w: BlockWeights, n_heads: int
 
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= FLOAT(1.0 / np.sqrt(dh))
-    weights = tensor.softmax_rows(scores.reshape(b * n_heads * n, n))
-    weights = weights.reshape(b, n_heads, n, n)
+    weights = tensor.softmax_rows(scores)
 
-    out = (weights @ v).transpose(0, 2, 1, 3).reshape(b * n, c)
-    out = out @ w.proj_weight
+    # the weighted sum lands in place, already (B, N, H, dh)
+    out = np.empty((b, n, n_heads, dh), dtype=FLOAT)
+    np.matmul(weights, v, out=out.transpose(0, 2, 1, 3))
+    out = out.reshape(b * n, c) @ w.proj_weight
     out += w.proj_bias
-    keys = k.mean(axis=1, dtype=np.float64).astype(FLOAT)  # (B, N, dh)
-    return out.reshape(b, n, c), keys
+    return out.reshape(b, n, c), k
+
+
+def head_mean(keys: np.ndarray) -> np.ndarray:
+    """The (B, N, dh) float32 mean over heads of attention's (B, H, N, dh)
+    keys, accumulated in float64: the metric that matching uses."""
+    return keys.mean(axis=1, dtype=np.float64).astype(FLOAT)
 
 
 # rows per MLP block: at vit-tiny's hidden 768 a block's (rows, hidden)
@@ -192,6 +199,14 @@ def mlp_map(v: np.ndarray, w: BlockWeights) -> np.ndarray:
         np.matmul(tensor.gelu(h), w.fc2_weight, out=block)
         block += w.fc2_bias
     return out.reshape(v.shape[:-1] + out.shape[-1:])
+
+
+def check_batch(x: np.ndarray, what: str) -> np.ndarray:
+    """x as a float32 (B >= 1, N, C) token batch, else ShapeError."""
+    x = np.asarray(x, dtype=FLOAT)
+    if x.ndim != 3 or x.shape[0] < 1:
+        raise ShapeError(f"{what} expects (B >= 1, N, C) tokens, got {x.shape}")
+    return x
 
 
 def _effective_r(n: int, r: int) -> int:
@@ -222,15 +237,18 @@ def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
 
     With r = 0 (or a sequence too short to split) the reduce is skipped
     entirely and the block is a plain pre-norm transformer block.
-    Returns per-batch-item traces when a reduce ran, else None.
+    Returns per-batch-item traces when a reduce ran, else None. Tokens that
+    are not a (B >= 1, N, C) batch raise ShapeError.
     """
-    x = np.asarray(x, dtype=FLOAT)
+    x = check_batch(x, "block_forward")
     b, n, _ = x.shape
     r_eff = _effective_r(n, r)
 
     if placement is ReducePlacement.BEFORE_MLP:
         x_star, keys = attention(layernorm(x, w.norm1_gamma, w.norm1_beta), w, n_heads)
         x_star += x
+        # the per-head keys hold the whole qkv buffer, so they go here
+        keys = head_mean(keys) if r_eff > 0 else None
         traces = None
         if r_eff > 0:
             items = [apply_reduce(x_star[i], keys[i], method, r_eff)
@@ -249,8 +267,8 @@ def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
             items = [apply_reduce(x[i], x[i], method, r_eff) for i in range(b)]
             x_red = np.stack([it[0] for it in items])
             traces = [it[1] for it in items]
-        x_star, _ = attention(
-            layernorm(x_red, w.norm1_gamma, w.norm1_beta), w, n_heads)
+        x_star = attention(
+            layernorm(x_red, w.norm1_gamma, w.norm1_beta), w, n_heads)[0]
         x_star += x_red
         y = mlp_map(layernorm(x_star, w.norm2_gamma, w.norm2_beta), w)
         y += x_star
@@ -269,9 +287,10 @@ def forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
     Logits are produced when the model carries head weights: final norm,
     pooling, linear. A config with cls_token pools row 0, which after a
     reduce holds whichever token ended there, since no class token is
-    protected; a config without one mean-pools every row.
+    protected; a config without one mean-pools every row. Tokens that are
+    not a (B >= 1, N, C) batch raise ShapeError.
     """
-    x = np.asarray(x, dtype=FLOAT)
+    x = check_batch(x, "forward")
     cfg = model.config
     methods = layer_methods(spec, cfg.depth)
     counts = []
@@ -353,13 +372,29 @@ def _layout(c: int, hid: int, classes: int) -> tuple[tuple, tuple]:
     return block, head
 
 
+# doubles per chunk of random_model's reused draw buffer. Building ViT-B/16
+# with a 1000-class head (median of 11 interleaved builds, 2-core Xeon, one
+# BLAS thread) took 678 ms with a float64 temporary per tensor, and through
+# the buffer 655 ms at 4K doubles, 568 at 16K, 513 at 64K, 515 at 256K and
+# 511 at 1M. 64K is the shortest on that plateau; its 512 KB stay in a 2 MB
+# L2 cache
+DRAW_CHUNK = 1 << 16
+
+
 def random_model(cfg: VitConfig, seed: int, n_classes: int | None = None
                  ) -> VitModel:
     """Seeded synthetic weights: linear layers uniform within +-1/sqrt(C),
-    drawn in file order, norm affines at identity. Same seed, same bits."""
+    drawn in file order, norm affines at identity. Same seed, same bits.
+
+    Every entry is np.random.default_rng(seed).uniform(-b, b) cast to
+    float32, in the same draw order and with the same bits, but drawn
+    through one reused float64 buffer of DRAW_CHUNK doubles instead of a
+    float64 temporary the size of each tensor.
+    """
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(cfg.channels)
     block, head = _layout(cfg.channels, cfg.hidden, n_classes or 0)
+    buf = np.empty(DRAW_CHUNK)
 
     def init(field: str, shape: tuple) -> np.ndarray:
         # the norm affines take no draw
@@ -367,7 +402,17 @@ def random_model(cfg: VitConfig, seed: int, n_classes: int | None = None
             return np.ones(shape, dtype=FLOAT)
         if field.endswith("beta"):
             return np.zeros(shape, dtype=FLOAT)
-        return rng.uniform(-bound, bound, size=shape).astype(FLOAT)
+        out = np.empty(shape, dtype=FLOAT)
+        flat = out.reshape(-1)
+        for lo in range(0, flat.size, DRAW_CHUNK):
+            part = flat[lo:lo + DRAW_CHUNK]
+            draw = buf[:part.size]
+            # uniform(low, high) is low + (high - low) * next_double, each
+            # step rounded in float64, and the float32 cast rounds once more
+            rng.random(out=draw)
+            draw *= 2 * bound
+            np.add(draw, -bound, out=part, casting="same_kind")
+        return out
 
     def build(cls, table):
         return cls(**{field: init(field, shape) for _, field, shape in table})

@@ -100,6 +100,13 @@ def reference_attention(x, w, n_heads):
     return out, keys_mean
 
 
+def uniform_draws(shapes, seed, bound):
+    """One float32 array per shape, in order, each numpy's float64
+    uniform(-bound, bound) draw from one seeded stream, cast to float32."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-bound, bound, size=s).astype(np.float32) for s in shapes]
+
+
 def token_decay(n0: int, r: int, depth: int):
     """Clamped linear decay of token counts, one entry per layer output."""
     counts = []

@@ -55,6 +55,11 @@ class TestApplyReduce:
                                 np.zeros((1, 3), dtype=np.float32),
                                 MergeMethod.PRUNED, 0)
 
+    def test_empty_batch_names_its_shape(self):
+        x = np.zeros((0, 6, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"\(0, 6, 3\)"):
+            fusion.apply_reduce(x, x, MergeMethod.AVERAGE, 1)
+
     @pytest.mark.parametrize("rows", [5, 7])
     def test_metric_row_count_must_match(self, rows):
         x = np.random.default_rng(3).standard_normal((6, 3)).astype(np.float32)
@@ -304,6 +309,26 @@ class TestUnmerge:
             FOUR_TOKENS, FOUR_TOKENS, MergeMethod.PRUNED, 1)
         with pytest.raises(ValueError):
             fusion.unmerge(reduced[:-1], trace)
+        # batched rows against a one-sequence trace, and the reverse
+        with pytest.raises(ValueError):
+            fusion.unmerge(reduced[None], trace)
+        batch = np.stack([FOUR_TOKENS, FOUR_TOKENS[::-1]])
+        rows, batch_trace = fusion.apply_reduce(batch, batch, MergeMethod.PRUNED, 1)
+        for bad in (rows[0], rows[:1], rows[:, :-1]):
+            with pytest.raises(ValueError):
+                fusion.unmerge(bad, batch_trace)
+
+    @pytest.mark.parametrize("method", list(MergeMethod))
+    def test_batched_trace_equals_per_item_calls(self, method):
+        rng = np.random.default_rng(9)
+        for n, r in ((2, 1), (7, 2), (12, 6), (13, 9)):  # the last one clamps
+            x = rng.standard_normal((4, n, 5)).astype(np.float32)
+            rows, trace = fusion.apply_reduce(x, x, method, r)
+            out = fusion.unmerge(rows, trace)
+            assert out.shape == x.shape
+            for i in range(len(x)):
+                alone = fusion.unmerge(*fusion.apply_reduce(x[i], x[i], method, r))
+                assert out[i].tobytes() == alone.tobytes()
 
 
 class TestSchedules:

@@ -183,3 +183,8 @@ def test_batch_equals_per_item_calls(n, block, monkeypatch):
                 assert m.idx_dst[i].tolist() == one.idx_dst.tolist()
                 assert m.scores[i].tobytes() == one.scores.tobytes()
                 assert m.clamped == one.clamped == (r > n // 2)
+
+
+def test_empty_batch_names_its_shape():
+    with pytest.raises(ValueError, match=r"\(0, 6, 3\)"):
+        matching.bipartite_soft_match(np.zeros((0, 6, 3), dtype=np.float32), 1)

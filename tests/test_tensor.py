@@ -142,6 +142,23 @@ def test_softmax_matches_float64(shape, offset):
     assert (np.abs(out - ref) / ref).max() <= 1e-5
 
 
+def test_softmax_rows_of_a_transposed_view_equals_the_row_form():
+    rng = np.random.default_rng(16)
+    x = (rng.standard_normal((6, 46, 46)) * 3).astype(np.float32)
+    x[2, :2, 5] = 3e38, -3e38  # row 5 of item 2's transpose spans past float32
+    t = x.swapaxes(1, 2)  # the last axis strided
+    rows = np.ascontiguousarray(t).reshape(-1, 46)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tensor.softmax_rows(t)
+        want = tensor.softmax_rows(rows).reshape(t.shape)
+    assert got.shape == t.shape and got.dtype == np.float32
+    # the strided rows add their float64 sums in another order; cast to
+    # float32, this data's sums agree bit for bit
+    assert got.tobytes(order="C") == want.tobytes()
+    assert tensor.softmax_rows(x[0, 0]).tobytes() == tensor.softmax_rows(x[0, :1])[0].tobytes()
+
+
 def test_gelu_bitwise_closed_form():
     x = np.random.default_rng(13).standard_normal((4, 50, 768)).astype(np.float32) * 4
     f = np.float32

@@ -1,15 +1,17 @@
 import dataclasses
 import hashlib
 import json
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from model_fixtures import replace_tfw_config_blob, rewrite_tfw_config
-from oracles import reference_attention, token_decay
-from tofu import highway, vit
-from tofu.fusion import MergeMethod, ReduceSpec, parse_merge_string
+from oracles import reference_attention, token_decay, uniform_draws
+from tofu import highway, linearity, vit
+from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, parse_merge_string
 from tofu.tensor import FormatError, ShapeError, TruncatedError, layernorm
 from tofu.vit import ReducePlacement, VitConfig
 
@@ -55,7 +57,41 @@ class TestAttention:
         out, keys = vit.attention(x, model.blocks[0], 2)
         ref_out, ref_keys = reference_attention(x, model.blocks[0], 2)
         assert np.allclose(out, ref_out, atol=1e-5)
-        assert np.allclose(keys, ref_keys, atol=1e-5)
+        assert np.allclose(vit.head_mean(keys), ref_keys, atol=1e-5)
+
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("b,n", [(1, 1), (2, 2), (3, 5), (1, 8), (2, 17), (3, 46)])
+    def test_bitwise_equals_query_major_formulation(self, b, n, heads):
+        w = tiny_model(channels=12, heads=heads, seed=heads).blocks[0]
+        x = rand_tokens(b, n, 12, seed=10 * b + n)
+        out, keys = vit.attention(x, w, heads)
+        ref_out, ref_keys = query_major_attention(x, w, heads)
+        assert out.tobytes() == ref_out.tobytes()
+        assert keys.shape == (b, heads, n, 12 // heads)
+        assert np.array_equal(keys, ref_keys)
+
+    def test_score_row_beyond_float32_range(self):
+        heads, c = 4, 12
+        w = tiny_model(channels=c, heads=heads, seed=6).blocks[0]
+        x = rand_tokens(2, 7, c, seed=16)
+        # head 0's query 0 and its keys each take one channel of x:
+        # q[0] = a * x[0, 1] and k[j] = a * x[j, 0], so query 0 scores
+        # +-a^2 / sqrt(3) against tokens 0 and 1, a span of 3.8e38
+        a = np.float32(np.sqrt(3.3e38))
+        w.qkv_weight[:, 0] = w.qkv_weight[:, c] = 0.0
+        w.qkv_bias[0] = w.qkv_bias[c] = 0.0
+        w.qkv_weight[1, 0] = w.qkv_weight[0, c] = a
+        x[:, :, 0] = np.clip(x[:, :, 0], -1.0, 1.0)
+        x[:, :2, 0] = 1.0, -1.0
+        x[:, :, 1] = 0.0
+        x[:, 0, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, keys = vit.attention(x, w, heads)
+            ref_out, ref_keys = query_major_attention(x, w, heads)
+        assert np.all(np.isfinite(out))
+        assert out.tobytes() == ref_out.tobytes()
+        assert np.array_equal(keys, ref_keys)
 
     def test_shape_errors(self):
         model = tiny_model()
@@ -63,6 +99,23 @@ class TestAttention:
             vit.attention(np.zeros((2, 3), dtype=np.float32), model.blocks[0], 2)
         with pytest.raises(ShapeError):
             vit.attention(rand_tokens(1, 3, 6), model.blocks[0], 2)
+
+
+def query_major_attention(x, w, heads):
+    """Attention in float32 steps with query-major scores: softmax rows with
+    float64 sums, each head's weighted sum, the heads laid side by side,
+    then the projection. Returns the output and the (B, H, N, dh) keys."""
+    b, n, c = x.shape
+    dh = c // heads
+    qkv = (x.reshape(b * n, c) @ w.qkv_weight + w.qkv_bias).reshape(b, n, 3, heads, dh)
+    q, k, v = (qkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
+    scores = (q @ k.transpose(0, 1, 3, 2)) * np.float32(1.0 / np.sqrt(dh))
+    with np.errstate(over="ignore"):
+        e = scores - scores.max(axis=3, keepdims=True)
+    e = np.exp(e)
+    e /= e.sum(axis=3, keepdims=True, dtype=np.float64).astype(np.float32)
+    merged = (e @ v).transpose(0, 2, 1, 3).reshape(b * n, c)
+    return (merged @ w.proj_weight + w.proj_bias).reshape(b, n, c), k
 
 
 def mlp_float64(v, w):
@@ -128,6 +181,21 @@ class TestBlockForward:
             ReducePlacement.BEFORE_MLP)
         assert y.shape == (1, 189, 8)
         assert len(traces) == 1
+
+    def test_before_mlp_matches_on_the_head_mean_of_the_keys(self):
+        w = tiny_model(seed=3).blocks[0]
+        x = rand_tokens(3, 11, 8, seed=17)
+        y, traces = vit.block_forward(
+            x, w, 2, MergeMethod.MLERP, 3, ReducePlacement.BEFORE_MLP)
+        attn, keys = vit.attention(layernorm(x, w.norm1_gamma, w.norm1_beta), w, 2)
+        x_star = x + attn
+        metric = keys.mean(axis=1, dtype=np.float64).astype(np.float32)
+        for i in range(3):
+            rows, trace = apply_reduce(x_star[i], metric[i], MergeMethod.MLERP, 3)
+            assert np.array_equal(traces[i].match.idx_src, trace.match.idx_src)
+            assert np.array_equal(traces[i].match.idx_dst, trace.match.idx_dst)
+            alone = rows + vit.mlp_map(layernorm(rows, w.norm2_gamma, w.norm2_beta), w)
+            assert y[i].tobytes() == alone.tobytes()
 
     def test_before_attn_preserves_length(self):
         model = tiny_model()
@@ -220,6 +288,27 @@ class TestForward:
         assert not np.array_equal(logits, mean_logits)
 
 
+# a 2-D or 4-D input, an empty batch, a single vector
+MALFORMED_BATCHES = [(5, 8), (1, 2, 5, 8), (0, 5, 8), (8,)]
+
+
+class TestMalformedBatch:
+    @pytest.mark.parametrize("shape", MALFORMED_BATCHES)
+    def test_every_entry_point_names_the_shape(self, shape):
+        model = tiny_model()
+        x = np.zeros(shape, dtype=np.float32)
+        calls = [
+            lambda: vit.forward(x, model, ReduceSpec(r=2)),
+            lambda: vit.block_forward(x, model.blocks[0], 2, MergeMethod.AVERAGE, 2,
+                                      ReducePlacement.BEFORE_ATTN),
+            lambda: highway.highway_forward(x, model, ReduceSpec(r=2)),
+            lambda: linearity.profile_model(model, x, linearity.FlConfig()),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeError, match=re.escape(str(shape))):
+                call()
+
+
 class TestFlops:
     def test_vitb16_full(self):
         rep = vit.flops_estimate(vit.ARCH_PRESETS["vit-b16"], ReduceSpec(r=0))
@@ -264,6 +353,28 @@ class TestRandomModel:
         a = vit.random_model(TINY, 7)
         b = vit.random_model(TINY, 8)
         assert not np.array_equal(a.blocks[0].qkv_weight, b.blocks[0].qkv_weight)
+
+    @pytest.mark.parametrize("classes", [None, 5])
+    @pytest.mark.parametrize("cfg", [VitConfig(depth=2, channels=12, heads=3, image=32),
+                                     VitConfig(depth=1, channels=4, heads=2, image=32)])
+    def test_draws_equal_uniform_per_tensor(self, cfg, classes, monkeypatch):
+        # an odd chunk far shorter than most tensors, so that they span many
+        # chunks and end mid-chunk; C=4 biases fit in one
+        monkeypatch.setattr(vit, "DRAW_CHUNK", 7)
+        model = vit.random_model(cfg, 3, n_classes=classes)
+        owners = model.blocks + ([model.head] if classes else [])
+        fields = [(o, f.name) for o in owners for f in dataclasses.fields(o)]
+        drawn = [getattr(o, name) for o, name in fields
+                 if not name.endswith(("gamma", "beta"))]
+        expected = uniform_draws([a.shape for a in drawn], 3, 1.0 / np.sqrt(cfg.channels))
+        assert len(drawn) == 8 * cfg.depth + (2 if classes else 0)
+        for got, want in zip(drawn, expected):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        for o, name in fields:
+            if name.endswith("gamma"):
+                assert np.array_equal(getattr(o, name), np.ones(cfg.channels))
+            elif name.endswith("beta"):
+                assert np.array_equal(getattr(o, name), np.zeros(cfg.channels))
 
     def test_vit_tiny_seed0_regression_anchor(self):
         # frozen once from the first build of this generator
