@@ -261,13 +261,12 @@ def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,
 
 def cmd_bench(args) -> int:
     cfg = _arch_config(args)
-    mbm = highway.MbmConfig(t=args.mbm_t, enabled=args.mbm)
+    mbm = (highway.MbmConfig() if args.mbm_t is None
+           else highway.MbmConfig(t=args.mbm_t, enabled=True))
     report = run_bench(cfg, args.methods, args.r, args.batch, args.repeat,
                        args.warmup, args.seed, args.mode, mbm)
-    text = _dump_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_json(args.out, report)
     for row in report["rows"]:
         print(f"{row['method']:>8}: median {row['median_ms']:9.2f} ms  "
               f"[p10 {row['p10_ms']:.2f}, p90 {row['p90_ms']:.2f}]  "
@@ -347,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", type=_method_list, default="full,pruned,average,mlerp",
                    help="comma list of full|pruned|average|mlerp")
     p.add_argument("--mode", choices=["normal", "highway"], default="normal")
-    p.add_argument("--mbm", action="store_true", help="enable magnitude masking")
-    p.add_argument("--mbm-t", type=float, default=1.0)
+    p.add_argument("--mbm-t", type=float,
+                   help="mask distributed residuals at or above this magnitude "
+                        "(highway mode; default: no masking)")
     p.add_argument("--out", help="write report JSON")
     p.set_defaults(func=cmd_bench)
 
@@ -375,10 +375,11 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"--{flag} must be at least {least}")
     if args.command in ("reduce", "fl", "flops", "bench") and args.r < 0:
         parser.error("--r must be non-negative")
-    if args.command == "bench" and not args.mbm_t >= 0:
-        parser.error("--mbm-t must be a non-negative number")
-    if args.command == "bench" and args.mbm and args.mode != "highway":
-        parser.error("--mbm needs --mode highway")
+    if args.command == "bench" and args.mbm_t is not None:
+        if not args.mbm_t >= 0:
+            parser.error("--mbm-t must be a non-negative number")
+        if args.mode != "highway":
+            parser.error("--mbm-t needs --mode highway")
 
 
 def main(argv=None) -> int:

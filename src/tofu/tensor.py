@@ -7,6 +7,10 @@ shapes, and keep every entry finite. Elementwise arithmetic runs in
 float32; every sum behind a reduction (means, variances, softmax
 denominators) accumulates in float64 before the result is cast back to
 float32.
+
+A tensor record, the unit of TTF1 and TFW1 files, is a u8 ndim, ndim u32
+dims, then the row-major float32 payload, all little-endian; only this
+module writes (payload, write_record) and reads (RecordReader) one.
 """
 
 from __future__ import annotations
@@ -129,63 +133,79 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def write_ttf(path: str, x: np.ndarray) -> None:
-    """Write an array to the TTF1 binary format.
+def payload(x: np.ndarray, what: str) -> np.ndarray:
+    """x as a record payload, contiguous "<f4" (no copy if it is one), or
+    ValueError naming what; writers call it before they open their file."""
+    return check_finite(np.ascontiguousarray(x, dtype="<f4"), what)
 
-    Layout: magic "TTF1", u8 ndim, ndim little-endian u32 dims, then the
-    row-major float32 payload, little-endian.
-    """
-    # the payload as written; no copy for contiguous little-endian float32
-    x = np.ascontiguousarray(x, dtype="<f4")
-    check_finite(x, "TTF1 payload")
-    if x.ndim > 255:
-        raise ShapeError("TTF1 supports at most 255 dimensions")
+
+def write_record(fh, x: np.ndarray) -> None:
+    """Write a payload() x to an open binary file as one tensor record."""
+    fh.write(struct.pack(f"<B{x.ndim}I", x.ndim, *x.shape))
+    fh.write(x.data)
+
+
+class RecordReader:
+    """Reads an open binary file of format fmt front to back, after checking
+    its magic. Every read claims its bytes first, so a file that ends before
+    them raises TruncatedError at the file's size."""
+
+    def __init__(self, fh, magic: bytes, fmt: str):
+        self.fh, self.fmt = fh, fmt
+        self.size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(magic))
+        if head != magic:
+            raise FormatError(f"bad {fmt} magic: {head!r}")
+        self.offset = len(magic)
+
+    def claim(self, nbytes: int, what: str) -> int:
+        """Advance past the next nbytes, or raise if the file ends first."""
+        if self.offset + nbytes > self.size:
+            raise TruncatedError(f"{self.fmt} {what} cut short", self.size)
+        self.offset += nbytes
+        return nbytes
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.fh.read(self.claim(struct.calcsize(fmt), what)))
+
+    def record(self, what: str, into: np.ndarray | None = None) -> np.ndarray:
+        """The next tensor record as a writable float32 array, no copy on a
+        little-endian host, its payload in the front of into (a 1-D "<f4"
+        array with room for it) if given. More dims than numpy supports
+        raise FormatError, non-finite entries ValueError."""
+        (ndim,) = self.unpack("<B", f"{what} ndim")
+        dims = self.unpack(f"<{ndim}I", f"{what} dims")
+        count = math.prod(dims)
+        self.claim(4 * count, what)
+        flat = np.empty(count, dtype="<f4") if into is None else into[:count]
+        try:
+            x = flat.reshape(dims)
+        except ValueError as exc:  # more dims than numpy supports
+            raise FormatError(f"{self.fmt} {what} shape: {exc}") from exc
+        if self.fh.readinto(flat) != flat.nbytes:  # the file shrank since fstat
+            raise TruncatedError(f"{self.fmt} {what} cut short", self.fh.tell())
+        return check_finite(x.astype(FLOAT, copy=False), f"{self.fmt} {what}")
+
+    def finish(self) -> None:
+        """Raise FormatError if the file holds bytes past the last claim."""
+        if self.offset != self.size:
+            raise FormatError(
+                f"{self.fmt} file has {self.size - self.offset} trailing bytes")
+
+
+def write_ttf(path: str, x: np.ndarray) -> None:
+    """Write an array to a TTF1 file: the magic, then one tensor record."""
+    x = payload(x, "TTF1 payload")
     with open(path, "wb") as fh:
         fh.write(TTF_MAGIC)
-        fh.write(struct.pack("<B", x.ndim))
-        for d in x.shape:
-            fh.write(struct.pack("<I", d))
-        fh.write(x.data)
-
-
-def read_payload(fh, flat: np.ndarray, dims, what: str) -> np.ndarray:
-    """Fill flat, a 1-D little-endian float32 array with one entry per
-    element of dims, from an open binary file, and return it viewed as dims:
-    a writable float32 array, with no copy on a little-endian host.
-
-    More dims than numpy supports raise FormatError, a file that ends first
-    TruncatedError, non-finite entries ValueError.
-    """
-    try:
-        x = flat.reshape(dims)
-    except ValueError as exc:  # more dims than numpy supports
-        raise FormatError(f"{what} shape: {exc}") from exc
-    if fh.readinto(flat) != flat.nbytes:
-        raise TruncatedError(f"{what} cut short", fh.tell())
-    return check_finite(x.astype(FLOAT, copy=False), what)
+        write_record(fh, x)
 
 
 def read_ttf(path: str) -> np.ndarray:
-    """Read a TTF1 file. Rejects bad magic, truncation, trailing bytes and
-    more dims than numpy supports with FormatError, non-finite entries with
-    ValueError."""
+    """Read a TTF1 file: the magic, then exactly one tensor record, under the
+    record rules of RecordReader; trailing bytes raise FormatError."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(5)
-        if head[:4] != TTF_MAGIC:
-            raise FormatError(f"bad TTF1 magic: {head[:4]!r}")
-        if len(head) < 5:
-            raise TruncatedError("TTF1 header cut short", size)
-        ndim = head[4]
-        dim_bytes = fh.read(4 * ndim)
-        if len(dim_bytes) < 4 * ndim:
-            raise TruncatedError("TTF1 dim list cut short", size)
-        dims = struct.unpack(f"<{ndim}I", dim_bytes)
-        count = math.prod(dims)
-        end = 5 + 4 * ndim + 4 * count
-        if size < end:
-            raise TruncatedError("TTF1 payload cut short", size)
-        if size > end:
-            raise FormatError(
-                f"TTF1 file has {size - end} trailing bytes after payload")
-        return read_payload(fh, np.empty(count, dtype="<f4"), dims, "TTF1 payload")
+        reader = RecordReader(fh, TTF_MAGIC, "TTF1")
+        x = reader.record("payload")
+        reader.finish()
+    return x

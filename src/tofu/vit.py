@@ -17,8 +17,6 @@ patch embedding, and ignores norms/softmax/head.
 from __future__ import annotations
 
 import json
-import math
-import os
 import struct
 import typing
 from dataclasses import asdict, dataclass
@@ -28,7 +26,7 @@ import numpy as np
 
 from . import tensor
 from .fusion import MergeMethod, ReduceSpec, ReduceTrace, apply_reduce, layer_methods, unmerge
-from .tensor import FLOAT, FormatError, ShapeError, TruncatedError, layernorm, read_payload
+from .tensor import FLOAT, FormatError, ShapeError, layernorm
 
 TFW_MAGIC = b"\x54\x46\x57\x31"
 
@@ -431,12 +429,8 @@ def save_weights(path: str, model: VitModel) -> None:
     owners = [(f"blocks.{l}.", blk, block) for l, blk in enumerate(model.blocks)]
     if model.head is not None:
         owners.append(("", model.head, head))
-    # the payloads as written, checked before the file is opened
-    entries = []
-    for prefix, owner, table in owners:
-        for name, field, _ in table:
-            arr = np.ascontiguousarray(getattr(owner, field), dtype="<f4")
-            entries.append((prefix + name, tensor.check_finite(arr, prefix + name)))
+    entries = [(prefix + name, tensor.payload(getattr(owner, field), prefix + name))
+               for prefix, owner, table in owners for name, field, _ in table]
 
     with open(path, "wb") as fh:
         fh.write(TFW_MAGIC)
@@ -445,10 +439,7 @@ def save_weights(path: str, model: VitModel) -> None:
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.data)
+            tensor.write_record(fh, arr)
         blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -457,53 +448,34 @@ def save_weights(path: str, model: VitModel) -> None:
 def load_weights(path: str) -> VitModel:
     """Read a TFW1 file back into a model.
 
-    Bad magic, truncation (with the byte offset), other malformed structure
-    (such as a tensor name that is not UTF-8) and tensor/config shape
-    mismatches each raise their own error type; non-finite entries raise
-    ValueError.
+    Per tensor, a u16 name length and the UTF-8 name frame one tensor record,
+    read under tofu.tensor's rules. A name that is not UTF-8 and trailing
+    bytes raise FormatError, tensor/config mismatches WeightShapeError; a
+    config deeper than the file's blocks fails at the first missing tensor.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(4)
-        if magic != TFW_MAGIC:
-            raise FormatError(f"bad TFW1 magic: {magic!r}")
-        off = 4
-
-        def need(nbytes: int, what: str) -> int:
-            """Claim the file's next nbytes, or raise if it ends first."""
-            nonlocal off
-            if off + nbytes > size:
-                raise TruncatedError(f"TFW1 {what} cut short", size)
-            off += nbytes
-            return nbytes
-
-        (count,) = struct.unpack("<I", fh.read(need(4, "tensor count")))
+        reader = tensor.RecordReader(fh, TFW_MAGIC, "TFW1")
+        (count,) = reader.unpack("<I", "tensor count")
         # every payload is read into its own slice of one buffer: one
         # allocation rather than one per tensor, and the payloads cannot
         # hold more floats than the file has bytes / 4
-        pool = np.empty(size // 4, dtype="<f4")
+        pool = np.empty(reader.size // 4, dtype="<f4")
         used = 0
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(need(2, "name length")))
+            (name_len,) = reader.unpack("<H", "name length")
             try:
-                name = fh.read(need(name_len, "tensor name")).decode("utf-8")
+                name = reader.unpack(f"<{name_len}s", "tensor name")[0].decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise FormatError(
-                    f"TFW1 tensor name at byte offset {off - name_len} is not UTF-8") from exc
-            (ndim,) = struct.unpack("<B", fh.read(need(1, "ndim")))
-            dims = struct.unpack(f"<{ndim}I", fh.read(need(4 * ndim, "dims")))
-            n_items = math.prod(dims)
-            need(4 * n_items, f"payload of {name}")
+                raise FormatError(f"TFW1 tensor name at byte offset "
+                                  f"{reader.offset - name_len} is not UTF-8") from exc
             if name in tensors:
                 raise FormatError(f"duplicate tensor name {name!r}")
-            tensors[name] = read_payload(fh, pool[used:used + n_items], dims,
-                                         f"TFW1 tensor {name!r}")
-            used += n_items
-        (json_len,) = struct.unpack("<I", fh.read(need(4, "config length")))
-        cfg_blob = fh.read(need(json_len, "config blob"))
-    if off != size:
-        raise FormatError(f"TFW1 file has {size - off} trailing bytes")
+            tensors[name] = arr = reader.record(f"tensor {name!r}", pool[used:])
+            used += arr.size
+        (json_len,) = reader.unpack("<I", "config length")
+        (cfg_blob,) = reader.unpack(f"<{json_len}s", "config blob")
+        reader.finish()
 
     try:
         cfg = VitConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
@@ -514,11 +486,8 @@ def load_weights(path: str) -> VitModel:
     hw = tensors.get("head.weight")
     classes = hw.shape[-1] if hw is not None and hw.ndim else 0
     block, head = _layout(cfg.channels, cfg.hidden, classes)
-    owners = [(f"blocks.{l}.", block) for l in range(cfg.depth)]
-    if any(name in tensors for name, _, _ in head):
-        owners.append(("", head))
-    built = []
-    for prefix, table in owners:
+
+    def take(prefix: str, table: tuple) -> dict:
         fields = {}
         for name, field, shape in table:
             full = prefix + name
@@ -527,9 +496,11 @@ def load_weights(path: str) -> VitModel:
             fields[field] = arr = tensors.pop(full)
             if arr.shape != shape:
                 raise WeightShapeError(f"{full!r} has shape {arr.shape}, expected {shape}")
-        built.append(fields)
+        return fields
+
+    has_head = any(name in tensors for name, _, _ in head)
+    blocks = [BlockWeights(**take(f"blocks.{l}.", block)) for l in range(cfg.depth)]
+    head_weights = HeadWeights(**take("", head)) if has_head else None
     if tensors:
         raise WeightShapeError(f"unrecognized tensors: {sorted(tensors)}")
-    blocks = [BlockWeights(**f) for f in built[:cfg.depth]]
-    heads = [HeadWeights(**f) for f in built[cfg.depth:]]
-    return VitModel(config=cfg, blocks=blocks, head=heads[0] if heads else None)
+    return VitModel(config=cfg, blocks=blocks, head=head_weights)

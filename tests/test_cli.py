@@ -307,7 +307,7 @@ class TestBench:
         assert run_cli("bench", "--arch", "vit-tiny", "--image", "64",
                        "--batch", "1", "--repeat", "3", "--r", "2",
                        "--methods", "average", "--mode", "highway",
-                       "--mbm", "--mbm-t", "1.5", "--out", str(out)) == 0
+                       "--mbm-t", "1.5", "--out", str(out)) == 0
         cfg = json.loads(out.read_text())["config"]
         assert cfg["mode"] == "highway"
         assert cfg["mbm"] == {"enabled": True, "t": 1.5}
@@ -330,7 +330,7 @@ class TestBench:
     @pytest.mark.parametrize("t", ["-1", "nan"])
     def test_negative_or_nan_mbm_threshold_is_usage_error(self, t):
         assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--mode", "highway",
-                                   "--mbm", "--mbm-t", t) == 2
+                                   "--mbm-t", t) == 2
 
     def test_unknown_method_is_usage_error(self):
         assert run_cli_usage_error("bench", "--arch", "vit-tiny",
@@ -345,7 +345,12 @@ class TestBench:
 
     def test_mbm_without_highway_is_usage_error(self):
         # normal mode never masks, so the report would claim MBM that did not run
-        assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--mbm") == 2
+        assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--mbm-t", "1") == 2
+
+    def test_mbm_flag_is_gone(self):
+        # --mbm-t alone turns masking on
+        assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--mode", "highway",
+                                   "--mbm") == 2
 
 
 def test_log_env_var_accepted(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tofu import tensor, vit
-from tofu.tensor import FormatError
+from tofu.tensor import FormatError, TruncatedError
 from tofu.vit import WeightShapeError
 
 HEADER_BYTES = 48
@@ -78,6 +78,24 @@ def test_load_weights_mutations_end_in_typed_errors(tmp_path, cut, flips, edits)
     path = tmp_path / "mutated.tfw"
     path.write_bytes(_mutate(blob, cut, flips, edits))
     _read_or_typed_error(vit.load_weights, path)
+
+
+@pytest.mark.parametrize("blob_of,read", [(_ttf_blob, tensor.read_ttf),
+                                          (_tfw_blob, vit.load_weights)])
+def test_every_cut_is_a_truncation_at_its_length(tmp_path, blob_of, read):
+    # a file cut inside its magic has no format to be cut short of
+    blob = blob_of(tmp_path)
+    path = tmp_path / "cut"
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        if cut < 4:
+            with pytest.raises(FormatError, match="magic") as info:
+                read(str(path))
+            assert not isinstance(info.value, TruncatedError)
+        else:
+            with pytest.raises(TruncatedError) as info:
+                read(str(path))
+            assert info.value.offset == cut
 
 
 def test_non_utf8_tensor_name_is_a_format_error(tmp_path):

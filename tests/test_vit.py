@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from model_fixtures import replace_tfw_config_blob, rewrite_tfw_config
 from oracles import reference_attention, token_decay, uniform_draws
-from tofu import highway, linearity, vit
+from tofu import highway, linearity, tensor, vit
 from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, parse_merge_string
 from tofu.tensor import FormatError, ShapeError, TruncatedError, layernorm
 from tofu.vit import ReducePlacement, VitConfig
@@ -441,6 +442,42 @@ class TestWeightFile:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(TruncatedError, match=str(len(blob) // 2)):
             vit.load_weights(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), tiny_model())
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing bytes"):
+            vit.load_weights(str(path))
+
+    def test_entry_is_a_ttf1_record_after_its_name(self, tmp_path):
+        # a TFW1 entry is the u16 name length, the name, then exactly what a
+        # TTF1 file of the same tensor holds after its magic
+        model = tiny_model()
+        tfw, ttf = tmp_path / "m.tfw", tmp_path / "t.ttf"
+        vit.save_weights(str(tfw), model)
+        tensor.write_ttf(str(ttf), model.blocks[1].fc1_weight)
+        blob, record = tfw.read_bytes(), ttf.read_bytes()[4:]
+        name = b"blocks.1.mlp.fc1.weight"
+        at = blob.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
+        assert blob[at:at + len(record)] == record
+
+    def test_declared_depth_beyond_the_blocks_fails_fast(self, tmp_path):
+        # the layout is walked as far as the file holds blocks, so a depth
+        # no file could hold costs no more than the blocks that are there
+        model = tiny_model(depth=1)
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), model)
+        rewrite_tfw_config(path, model.config, depth=1_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(vit.WeightShapeError,
+                               match=r"missing tensor 'blocks\.1\.attn\.qkv\.weight'"):
+                vit.load_weights(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_shape_mismatch_distinct_error(self, tmp_path):
         model = tiny_model()
