@@ -171,7 +171,7 @@ def cmd_fl(args) -> int:
 
 def cmd_flops(args) -> int:
     cfg = _arch_config(args)
-    spec = fusion.ReduceSpec(r=args.r, d=args.d)
+    spec = fusion.ReduceSpec(r=args.r)
     placement = vit.ReducePlacement(args.placement)
     report = vit.flops_estimate(cfg, spec, placement)
 
@@ -299,20 +299,22 @@ def _method_list(text: str) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser takes a prefix for a flag, so a removed flag cannot live on as one
     parser = argparse.ArgumentParser(
-        prog="tofu",
+        prog="tofu", allow_abbrev=False,
         description="Token reduction toolkit: reduce, profile, count, benchmark.")
     parser.add_argument("--threads", type=int, default=1,
                         help="BLAS thread cap (default 1, reproducible)")
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
     # the model shape, shared by every command that builds a model from a preset
-    arch = argparse.ArgumentParser(add_help=False)
+    arch = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     arch.add_argument("--arch", choices=sorted(vit.ARCH_PRESETS), required=True)
     arch.add_argument("--image", type=int, default=None)
     arch.add_argument("--patch", type=int, default=None)
 
-    p = sub.add_parser("reduce", help="apply one reduce to a token dump")
+    p = sub.add_parser("reduce", allow_abbrev=False,
+                       help="apply one reduce to a token dump")
     p.add_argument("--input", required=True, help="TTF1 token tensor")
     p.add_argument("--metric", help="TTF1 similarity metric (default: input)")
     p.add_argument("--r", type=int, required=True)
@@ -321,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the reduce trace as JSON")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("fl", help="per-layer functional linearity profile")
+    p = sub.add_parser("fl", allow_abbrev=False,
+                       help="per-layer functional linearity profile")
     p.add_argument("--model", required=True, help="TFW1 weights")
     p.add_argument("--tokens", required=True, help="TTF1 token tensor")
     p.add_argument("--steps", type=int, default=21)
@@ -329,15 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_fl)
 
-    p = sub.add_parser("flops", parents=[arch], help="analytical FLOP report")
+    p = sub.add_parser("flops", allow_abbrev=False, parents=[arch],
+                       help="analytical FLOP report")
     p.add_argument("--r", type=int, default=0)
-    p.add_argument("--d", type=int, default=6)
     p.add_argument("--placement", choices=[pl.value for pl in vit.ReducePlacement],
                    default=vit.ReducePlacement.BEFORE_MLP.value)
     p.add_argument("--out", help="write report JSON")
     p.set_defaults(func=cmd_flops)
 
-    p = sub.add_parser("bench", parents=[arch],
+    p = sub.add_parser("bench", allow_abbrev=False, parents=[arch],
                        help="wall-clock comparison of merge methods")
     p.add_argument("--r", type=int, default=16)
     p.add_argument("--batch", type=int, default=8)
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write report JSON")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gen", parents=[arch],
+    p = sub.add_parser("gen", allow_abbrev=False, parents=[arch],
                        help="write synthetic weights/tokens fixtures")
     p.add_argument("--out-weights", required=True, help="TFW1 output path")
     p.add_argument("--out-tokens", help="TTF1 output path")
@@ -363,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the least value of each count, layer or seed flag, on the commands that have it;
+# the least value of each count or seed flag, on the commands that have it;
 # OpenBLAS would take --threads 0 as "use every core"
 _FLAG_MINIMUMS = {"threads": 1, "batch": 1, "steps": 3, "repeat": 3, "warmup": 1,
-                  "d": 1, "seed": 0, "classes": 0}
+                  "seed": 0, "classes": 0}
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import tensor, vit
 from .matching import bipartite_soft_match
 
 UNDEFINED_PATH_EPS = 1e-12
@@ -128,17 +129,13 @@ def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
     pair reports count 0. Tokens that are not a (B >= 1, N, C) batch raise
     ShapeError.
     """
-    # local import; vit depends on fusion which depends on matching
-    from . import vit
-    from .tensor import layernorm
-
     x = vit.check_batch(tokens, "profile_model")
     stats = []
     for l, w in enumerate(model.blocks):
         attn_out, keys = vit.attention(
-            layernorm(x, w.norm1_gamma, w.norm1_beta), w, model.config.heads)
+            tensor.layernorm(x, w.norm1_gamma, w.norm1_beta), w, model.config.heads)
         x_star = x + attn_out
-        mlp_in = layernorm(x_star, w.norm2_gamma, w.norm2_beta)
+        mlp_in = tensor.layernorm(x_star, w.norm2_gamma, w.norm2_beta)
         f = lambda v, w=w: vit.mlp_map(v, w)
 
         values: list[float] = []

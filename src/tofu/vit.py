@@ -6,9 +6,10 @@ a model is just per-block weights plus a config. Every weight GEMM (qkv,
 proj, fc1, fc2) runs once over all B*N rows of a batch, and the MLP runs in
 blocks of MLP_BLOCK_ROWS rows, so a batch item's output can differ from the
 same item run alone by float32 rounding. The reduce op sits either
-before the MLP (classification style, keys drive the matching, sequences
-shrink layer by layer) or before the attention (generation style, raw
-features drive the matching and every block unmerges back to full length).
+before the MLP (classification style: it matches on the head mean of the
+attention keys, and sequences shrink layer by layer) or before the
+attention (generation style: it matches on the raw features, and every
+block unmerges back to full length).
 
 FLOP accounting counts one multiply-accumulate as one FLOP, includes the
 patch embedding, and ignores norms/softmax/head.
@@ -209,7 +210,7 @@ def check_batch(x: np.ndarray, what: str) -> np.ndarray:
 
 def _effective_r(n: int, r: int) -> int:
     # cannot remove more sources than the odd rows provide
-    return min(r, n // 2) if n >= 2 else 0
+    return min(r, n // 2)
 
 
 def token_schedule(n0: int, r: int, depth: int,
@@ -228,53 +229,45 @@ def token_schedule(n0: int, r: int, depth: int,
     return out
 
 
+def _reduce_items(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
+                  r: int) -> tuple[np.ndarray, list[ReduceTrace]]:
+    """apply_reduce on each batch item: the stacked rows and the traces."""
+    items = [apply_reduce(x[i], metric[i], method, r) for i in range(len(x))]
+    return np.stack([rows for rows, _ in items]), [trace for _, trace in items]
+
+
 def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
                   method: MergeMethod, r: int, placement: ReducePlacement
                   ) -> tuple[np.ndarray, list[ReduceTrace] | None]:
-    """One transformer block with the reduce op at the configured position.
+    """One pre-norm transformer block with the reduce op at `placement`.
 
-    With r = 0 (or a sequence too short to split) the reduce is skipped
-    entirely and the block is a plain pre-norm transformer block.
-    Returns per-batch-item traces when a reduce ran, else None. Tokens that
-    are not a (B >= 1, N, C) batch raise ShapeError.
+    BEFORE_MLP matches each item on the head mean of its attention keys and
+    returns the shorter sequences; BEFORE_ATTN matches each item on its raw
+    features and unmerges the block's output back to full length. With
+    r = 0 (or a sequence too short to split) no reduce runs. Returns
+    per-batch-item traces when a reduce ran, else None. Tokens that are not
+    a (B >= 1, N, C) batch raise ShapeError, an unknown placement ValueError.
     """
     x = check_batch(x, "block_forward")
-    b, n, _ = x.shape
-    r_eff = _effective_r(n, r)
-
-    if placement is ReducePlacement.BEFORE_MLP:
-        x_star, keys = attention(layernorm(x, w.norm1_gamma, w.norm1_beta), w, n_heads)
-        x_star += x
-        # the per-head keys hold the whole qkv buffer, so they go here
-        keys = head_mean(keys) if r_eff > 0 else None
-        traces = None
-        if r_eff > 0:
-            items = [apply_reduce(x_star[i], keys[i], method, r_eff)
-                     for i in range(b)]
-            x_star = np.stack([it[0] for it in items])
-            traces = [it[1] for it in items]
-        y = mlp_map(layernorm(x_star, w.norm2_gamma, w.norm2_beta), w)
-        y += x_star
-        return y, traces
-
-    if placement is ReducePlacement.BEFORE_ATTN:
-        traces = None
-        x_red = x
-        if r_eff > 0:
-            # generation mode matches on the raw features, not on keys
-            items = [apply_reduce(x[i], x[i], method, r_eff) for i in range(b)]
-            x_red = np.stack([it[0] for it in items])
-            traces = [it[1] for it in items]
-        x_star = attention(
-            layernorm(x_red, w.norm1_gamma, w.norm1_beta), w, n_heads)[0]
-        x_star += x_red
-        y = mlp_map(layernorm(x_star, w.norm2_gamma, w.norm2_beta), w)
-        y += x_star
-        if traces is not None:
-            y = np.stack([unmerge(y[i], traces[i]) for i in range(b)])
-        return y, traces
-
-    raise ValueError(f"unknown placement {placement!r}")
+    if not isinstance(placement, ReducePlacement):
+        raise ValueError(f"unknown placement {placement!r}")
+    r_eff = _effective_r(x.shape[1], r)
+    before_attn = r_eff > 0 and placement is ReducePlacement.BEFORE_ATTN
+    before_mlp = r_eff > 0 and placement is ReducePlacement.BEFORE_MLP
+    traces = None
+    if before_attn:
+        x, traces = _reduce_items(x, x, method, r_eff)
+    x_star, keys = attention(layernorm(x, w.norm1_gamma, w.norm1_beta), w, n_heads)
+    x_star += x
+    # the per-head keys hold the whole qkv buffer, so they go before the reduce
+    keys = head_mean(keys) if before_mlp else None
+    if before_mlp:
+        x_star, traces = _reduce_items(x_star, keys, method, r_eff)
+    y = mlp_map(layernorm(x_star, w.norm2_gamma, w.norm2_beta), w)
+    y += x_star
+    if before_attn:
+        y = np.stack([unmerge(y[i], trace) for i, trace in enumerate(traces)])
+    return y, traces
 
 
 def forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,

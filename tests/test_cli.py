@@ -48,6 +48,12 @@ class TestGen:
     def test_missing_required_flag_is_usage_error(self):
         assert run_cli_usage_error("gen", "--arch", "vit-tiny") == 2
 
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, monkeypatch):
+        # --out-w is a prefix of --out-weights, and flags are spelled out in full
+        monkeypatch.chdir(tmp_path)
+        assert run_cli_usage_error("gen", "--arch", "vit-tiny", "--out-w", "x.tfw") == 2
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flags", [["--seed", "-1", "gen"], ["gen", "--classes", "-1"]])
     def test_negative_seed_or_classes_is_usage_error(self, flags, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -241,9 +247,9 @@ class TestFlops:
         assert json.loads(out.read_text())["total"] == pytest.approx(
             20.90e9, rel=0.03)
 
-    @pytest.mark.parametrize("d", ["0", "-1"])
-    def test_threshold_below_one_is_usage_error(self, d):
-        assert run_cli_usage_error("flops", "--arch", "vit-tiny", "--d", d) == 2
+    def test_d_flag_is_gone(self):
+        # the d rule picks methods, not token counts, so it cannot change a FLOP count
+        assert run_cli_usage_error("flops", "--arch", "vit-tiny", "--d", "1") == 2
 
     def test_json_round_trip_byte_stable(self, tmp_path):
         out = tmp_path / "f.json"
@@ -348,9 +354,10 @@ class TestBench:
         assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--mbm-t", "1") == 2
 
     def test_mbm_flag_is_gone(self):
-        # --mbm-t alone turns masking on
+        # --mbm-t alone turns masking on; with its value, --mbm cannot pass
+        # for a prefix of --mbm-t either
         assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--mode", "highway",
-                                   "--mbm") == 2
+                                   "--mbm", "0.5") == 2
 
 
 def test_log_env_var_accepted(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from model_fixtures import replace_tfw_config_blob, rewrite_tfw_config
 from oracles import reference_attention, token_decay, uniform_draws
 from tofu import highway, linearity, tensor, vit
-from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, parse_merge_string
+from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, parse_merge_string, unmerge
 from tofu.tensor import FormatError, ShapeError, TruncatedError, layernorm
 from tofu.vit import ReducePlacement, VitConfig
 
@@ -207,6 +207,25 @@ class TestBlockForward:
         assert y.shape == x.shape
         assert traces is not None
 
+    @pytest.mark.parametrize("method", list(MergeMethod))
+    def test_before_attn_is_reduce_then_block_then_unmerge(self, method):
+        w = tiny_model(seed=4).blocks[0]
+        x = rand_tokens(3, 13, 8, seed=19)
+        y, traces = vit.block_forward(x, w, 2, method, 4, ReducePlacement.BEFORE_ATTN)
+        items = [apply_reduce(x[i], x[i], method, 4) for i in range(3)]
+        block = plain_block(np.stack([rows for rows, _ in items]), w, 2)
+        alone = np.stack([unmerge(block[i], trace) for i, (_, trace) in enumerate(items)])
+        assert y.tobytes() == alone.tobytes()
+        for got, (_, trace) in zip(traces, items, strict=True):
+            assert np.array_equal(got.match.idx_src, trace.match.idx_src)
+            assert np.array_equal(got.match.idx_dst, trace.match.idx_dst)
+
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_unknown_placement_rejected(self, r):
+        w = tiny_model().blocks[0]
+        with pytest.raises(ValueError, match="unknown placement"):
+            vit.block_forward(rand_tokens(2, 9, 8), w, 2, MergeMethod.AVERAGE, r,
+                              "before_mlp")
 
     def test_block_ops_leave_inputs_unchanged(self):
         # the block adds biases and residuals in place, so check that only
