@@ -251,6 +251,12 @@ class TestFlops:
         # the d rule picks methods, not token counts, so it cannot change a FLOP count
         assert run_cli_usage_error("flops", "--arch", "vit-tiny", "--d", "1") == 2
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_threshold_below_one_is_usage_error(self, d, capsys):
+        # a d below one stays a usage error, now as an unknown flag
+        assert run_cli_usage_error("flops", "--arch", "vit-tiny", "--d", d) == 2
+        assert "unrecognized arguments: --d" in capsys.readouterr().err
+
     def test_json_round_trip_byte_stable(self, tmp_path):
         out = tmp_path / "f.json"
         run_cli("flops", "--arch", "vit-tiny", "--r", "4", "--out", str(out))
