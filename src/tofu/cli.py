@@ -114,8 +114,8 @@ def _arch_config(args) -> vit.VitConfig:
 def _trace_dicts(trace: fusion.ReduceTrace) -> list[dict]:
     """One JSON object per sequence of a batched trace."""
     m = trace.match
-    src = list(range(1, trace.n_input, 2))
-    dst = list(range(0, trace.n_input, 2))
+    ids = range(trace.output_index_of_input.shape[-1])
+    src, dst = list(ids[1::2]), list(ids[0::2])
     per_item = zip(m.idx_src.tolist(), m.idx_dst.tolist(), m.scores.tolist(),
                    (trace.mlerp_degenerate_groups > 0).tolist(),
                    trace.output_index_of_input.tolist())

@@ -47,7 +47,7 @@ class MergeStringError(ValueError):
         self.offset = offset
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReduceSpec:
     """Per-layer reduction policy: how many tokens to drop and how to fuse them."""
 
@@ -72,7 +72,8 @@ class ReduceTrace:
     map to their destination's row. Per item it is surjective onto the
     reduced rows and injective on the non-merged inputs. mlerp_degenerate_groups
     counts each item's MLERP groups that fell back to the plain mean (0 for
-    the other methods): a number for one sequence, (B,) for a batch.
+    the other methods): a number for one sequence, (B,) for a batch. An item
+    has output_index_of_input.shape[-1] - match.idx_src.shape[-1] outputs.
     """
 
     match: MatchResult
@@ -83,14 +84,6 @@ class ReduceTrace:
     def mlerp_degenerate(self) -> bool:
         """True if any item had a degenerate MLERP group."""
         return bool(np.any(self.mlerp_degenerate_groups))
-
-    @property
-    def n_input(self) -> int:
-        return self.output_index_of_input.shape[-1]
-
-    @property
-    def n_output(self) -> int:
-        return self.n_input - self.match.idx_src.shape[-1]
 
 
 def merge_pruned(dst_rows: np.ndarray, src_rows: np.ndarray,
@@ -232,10 +225,11 @@ def unmerge(reduced: np.ndarray, trace: ReduceTrace) -> np.ndarray:
     """
     reduced = np.asarray(reduced, dtype=FLOAT)
     index = trace.output_index_of_input
-    if reduced.shape[:-1] != index.shape[:-1] + (trace.n_output,):
+    n_out = index.shape[-1] - trace.match.idx_src.shape[-1]
+    if reduced.shape[:-1] != index.shape[:-1] + (n_out,):
         raise ValueError(
             f"reduced shape {reduced.shape} does not match trace output "
-            f"length {trace.n_output} over maps {index.shape}")
+            f"length {n_out} over maps {index.shape}")
     if index.ndim == 1:
         return reduced[index]
     return reduced[np.arange(len(index))[:, None], index]

@@ -36,13 +36,12 @@ class HighwayState:
     """Full-length features, the reduced local features, and their linkage.
 
     index[b, i] is the local row that full position i currently resolves to;
-    affected[b, i] marks positions that have taken part in any merge so far.
+    a position took part in a merge exactly when it shares that row.
     """
 
     x_full: np.ndarray   # (B, N, C)
     x_local: np.ndarray  # (B, M, C)
     index: np.ndarray    # (B, N) int64 into local rows
-    affected: np.ndarray  # (B, N) bool
 
 
 def init_state(x: np.ndarray) -> HighwayState:
@@ -53,7 +52,6 @@ def init_state(x: np.ndarray) -> HighwayState:
         x_full=x.copy(),
         x_local=x.copy(),
         index=np.tile(np.arange(n, dtype=np.int64), (b, 1)),
-        affected=np.zeros((b, n), dtype=bool),
     )
 
 
@@ -114,40 +112,40 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
 
     x_local = state.x_local
     index = state.index
-    affected = state.affected
     if r_eff > 0:
         items = [apply_reduce(x_local[i], x_local[i], method, r_eff)
                  for i in range(b)]
         x_local = np.stack([x_red for x_red, _ in items])
         maps = np.stack([trace.output_index_of_input for _, trace in items])
         index = update_index(index, maps)
-        # a local row took part in a merge exactly when its output row is shared
-        rows = np.arange(b)[:, None]
-        sizes = np.zeros((b, n_local - r_eff), dtype=np.int64)
-        np.add.at(sizes, (rows, maps), 1)
-        affected = affected | (sizes[rows, index] > 1)
+    merged = _merged_positions(index, x_local.shape[1]) if mbm.enabled else None
 
     x_full = state.x_full
     f_attn = attention(
         layernorm(x_local, w.norm1_gamma, w.norm1_beta), w, n_heads)[0]
-    x_full = _distribute_add(x_full, f_attn, index, affected, mbm)
+    x_full = _distribute_add(x_full, f_attn, index, merged, mbm)
     f_attn += x_local
     x_local = f_attn
 
     f_mlp = mlp_map(layernorm(x_local, w.norm2_gamma, w.norm2_beta), w)
-    x_full = _distribute_add(x_full, f_mlp, index, affected, mbm)
+    x_full = _distribute_add(x_full, f_mlp, index, merged, mbm)
     f_mlp += x_local
     x_local = f_mlp
 
-    return HighwayState(x_full=x_full, x_local=x_local, index=index,
-                        affected=affected)
+    return HighwayState(x_full=x_full, x_local=x_local, index=index)
+
+
+def _merged_positions(index: np.ndarray, m: int) -> np.ndarray:
+    """(B, N) bool: the positions whose local row (of m) another one shares."""
+    flat = index + m * np.arange(len(index))[:, None]
+    return np.bincount(flat.ravel())[flat] > 1
 
 
 def _distribute_add(x_full: np.ndarray, f_local: np.ndarray, index: np.ndarray,
-                    affected: np.ndarray, mbm: MbmConfig) -> np.ndarray:
+                    merged: np.ndarray | None, mbm: MbmConfig) -> np.ndarray:
     d = distribute(f_local, index)  # a fresh gather, so safe to update in place
     if mbm.enabled:
-        d *= mbm_mask(x_full, affected, mbm.t)
+        d *= mbm_mask(x_full, merged, mbm.t)
     d += x_full
     return d
 

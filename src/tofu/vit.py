@@ -209,6 +209,8 @@ def check_batch(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def _effective_r(n: int, r: int) -> int:
+    if r < 0:
+        raise ValueError(f"reduction count r must be >= 0, got {r}")
     # cannot remove more sources than the odd rows provide
     return min(r, n // 2)
 
@@ -216,7 +218,10 @@ def _effective_r(n: int, r: int) -> int:
 def token_schedule(n0: int, r: int, depth: int,
                    placement: ReducePlacement = ReducePlacement.BEFORE_MLP
                    ) -> list[tuple[int, int]]:
-    """Per-layer (attention tokens, MLP tokens) under clamped linear decay."""
+    """Per-layer (attention tokens, MLP tokens) under clamped linear decay;
+    an unknown placement or r < 0 raises ValueError."""
+    if not isinstance(placement, ReducePlacement):
+        raise ValueError(f"unknown placement {placement!r}")
     out = []
     n = n0
     for _ in range(depth):
@@ -246,7 +251,7 @@ def block_forward(x: np.ndarray, w: BlockWeights, n_heads: int,
     features and unmerges the block's output back to full length. With
     r = 0 (or a sequence too short to split) no reduce runs. Returns
     per-batch-item traces when a reduce ran, else None. Tokens that are not
-    a (B >= 1, N, C) batch raise ShapeError, an unknown placement ValueError.
+    a (B >= 1, N, C) batch raise ShapeError, a bad placement or r < 0 ValueError.
     """
     x = check_batch(x, "block_forward")
     if not isinstance(placement, ReducePlacement):

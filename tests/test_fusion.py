@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,7 +139,8 @@ class TestBatchAxis:
                     reduced, trace = fusion.apply_reduce(x, x, method, r)
                     m = trace.match
                     assert reduced.shape == (5, n - min(r, n // 2), x.shape[2])
-                    assert trace.n_input == n and trace.n_output == reduced.shape[1]
+                    assert trace.output_index_of_input.shape == (5, n)
+                    assert n - m.idx_src.shape[1] == reduced.shape[1]
                     assert trace.mlerp_degenerate == bool(trace.mlerp_degenerate_groups.any())
                     for i in range(5):
                         one, t = fusion.apply_reduce(x[i], x[i], method, r)
@@ -403,3 +406,9 @@ class TestSpecJson:
             ReduceSpec(r=-1)
         with pytest.raises(ValueError):
             ReduceSpec(r=0, d=0)
+
+    def test_built_spec_is_frozen(self):
+        spec = ReduceSpec(r=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.r = -2
+        assert spec.r == 2

@@ -46,7 +46,7 @@ class TestUpdateIndex:
             x, trace = apply_reduce(x, x, MergeMethod.PRUNED, r)
             idx = highway.update_index(idx[None], trace.output_index_of_input[None])[0]
             step = {i: int(trace.output_index_of_input[i])
-                    for i in range(trace.n_input)}
+                    for i in range(len(trace.output_index_of_input))}
             composed = {p: step[composed[p]] for p in composed}
         assert idx.tolist() == [composed[p] for p in range(n)]
 
@@ -61,8 +61,9 @@ class TestUpdateIndex:
     @given(seed=st.integers(0, 2**31), b=st.integers(1, 4),
            n=st.integers(4, 16), r=st.integers(1, 4), depth=st.integers(1, 3))
     def test_block_bookkeeping_equals_per_item(self, method, seed, b, n, r, depth):
-        # index and affected of highway_block against a per-item composition:
-        # a position is affected once its local row is in idx_src | idx_dst
+        # index and merged positions of highway_block against a per-item
+        # composition: a position is merged once its local row is in
+        # idx_src | idx_dst
         rng = np.random.default_rng(seed)
         model = tiny_model(depth=depth, seed=seed % 1000)
         x = rng.standard_normal((b, n, 8)).astype(np.float32)
@@ -80,7 +81,9 @@ class TestUpdateIndex:
                     affected[i, p] |= int(index[i, p]) in touched
                     index[i, p] = trace.output_index_of_input[index[i, p]]
             assert np.array_equal(state.index, index)
-            assert np.array_equal(state.affected, affected)
+            assert np.array_equal(
+                highway._merged_positions(state.index, state.x_local.shape[1]),
+                affected)
 
     def test_out_of_range_rejected(self):
         _, trace = apply_reduce(FOUR_TOKENS, FOUR_TOKENS, MergeMethod.PRUNED, 1)
@@ -245,6 +248,12 @@ class TestHighwayBlocks:
         ref_full, _ = naive_highway(x, model, ["average", "average"],
                                     traces_per_block, mbm_enabled=True, mbm_t=0.5)
         assert np.allclose(state.x_full, ref_full, rtol=1e-6, atol=1e-6)
+
+    def test_negative_r_rejected(self):
+        state = highway.init_state(np.zeros((1, 8, 8), dtype=np.float32))
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            highway.highway_block(state, tiny_model().blocks[0], 2,
+                                  MergeMethod.AVERAGE, -1)
 
     def test_local_counts_decay(self):
         model = tiny_model(depth=3)

@@ -227,6 +227,13 @@ class TestBlockForward:
             vit.block_forward(rand_tokens(2, 9, 8), w, 2, MergeMethod.AVERAGE, r,
                               "before_mlp")
 
+    @pytest.mark.parametrize("placement", list(ReducePlacement))
+    def test_negative_r_rejected(self, placement):
+        w = tiny_model().blocks[0]
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            vit.block_forward(rand_tokens(2, 9, 8), w, 2, MergeMethod.AVERAGE, -1,
+                              placement)
+
     def test_block_ops_leave_inputs_unchanged(self):
         # the block adds biases and residuals in place, so check that only
         # arrays it allocated itself were written
@@ -359,6 +366,18 @@ class TestFlops:
         rep = vit.flops_estimate(cfg, ReduceSpec(r=8),
                                  ReducePlacement.BEFORE_ATTN)
         assert all(pl.token_count == cfg.n_tokens - 8 for pl in rep.per_layer)
+
+    @pytest.mark.parametrize("placement", ["before_mlp", None])
+    def test_unknown_placement_rejected(self, placement):
+        with pytest.raises(ValueError, match="unknown placement"):
+            vit.token_schedule(197, 16, 12, placement)
+        with pytest.raises(ValueError, match="unknown placement"):
+            vit.flops_estimate(vit.ARCH_PRESETS["vit-b16"], ReduceSpec(r=16), placement)
+
+    @pytest.mark.parametrize("placement", list(ReducePlacement))
+    def test_negative_r_rejected(self, placement):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            vit.token_schedule(197, -1, 3, placement)
 
 
 class TestRandomModel:
