@@ -12,7 +12,7 @@ from .fusion import (
     unmerge,
 )
 from .highway import MbmConfig, distribute, highway_block, highway_forward, mbm_mask, update_index
-from .linearity import FlConfig, FlReport, functional_linearity, interpolate, path_length, profile_model
+from .linearity import FlLayerStats, functional_linearity, interpolate, path_length, profile_model
 from .matching import MatchResult, bipartite_soft_match, similarity_matrix
 from .tensor import gelu, layernorm, read_ttf, softmax_rows, write_ttf
 from .vit import (

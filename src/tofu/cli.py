@@ -158,9 +158,9 @@ def cmd_fl(args) -> int:
         tokens = tokens[None]
     if len(tokens) == 0:
         raise FormatError(f"{args.tokens}: token dump holds no sequences")
-    cfg = linearity.FlConfig(n_steps=args.steps, pair_r=args.r)
-    report = linearity.profile_model(model, tokens, cfg)
-    text = report.to_json() + "\n"
+    rows = linearity.profile_model(model, tokens, args.steps, args.r)
+    text = json.dumps([dataclasses.asdict(row) for row in rows],
+                      indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -205,14 +205,19 @@ def _bench_spec(method: str, r: int, depth: int) -> fusion.ReduceSpec:
     return fusion.ReduceSpec(r=r, merge_string="A" * depth, late_method=mm)
 
 
+def _random_tokens(cfg: vit.VitConfig, batch: int, seed: int) -> np.ndarray:
+    """The seeded (batch, n_tokens, channels) input that gen writes and bench times."""
+    rng = np.random.default_rng([seed, 1])
+    return rng.standard_normal((batch, cfg.n_tokens, cfg.channels)).astype(FLOAT)
+
+
 def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,
               repeat: int, warmup: int, seed: int, mode: str,
               mbm: highway.MbmConfig) -> dict:
     """Time full forward passes per method, interleaving the methods within
     every repeat; medians only, never absolutes."""
     model = vit.random_model(cfg, seed)
-    rng = np.random.default_rng([seed, 1])
-    x = rng.standard_normal((batch, cfg.n_tokens, cfg.channels)).astype(FLOAT)
+    x = _random_tokens(cfg, batch, seed)
 
     def one_pass(spec):
         if mode == "highway":
@@ -277,11 +282,10 @@ def cmd_bench(args) -> int:
 def cmd_gen(args) -> int:
     cfg = _arch_config(args)
     model = vit.random_model(cfg, args.seed, n_classes=args.classes or None)
+    # drawn before any file is written, so running out of memory leaves none
+    tokens = _random_tokens(cfg, args.batch, args.seed) if args.out_tokens else None
     vit.save_weights(args.out_weights, model)
-    if args.out_tokens:
-        rng = np.random.default_rng([args.seed, 1])
-        tokens = rng.standard_normal(
-            (args.batch, cfg.n_tokens, cfg.channels)).astype(FLOAT)
+    if tokens is not None:
         write_ttf(args.out_tokens, tokens)
     log.info("wrote %s (depth %d, C %d)", args.out_weights, cfg.depth, cfg.channels)
     return 0
@@ -376,6 +380,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     for flag, least in _FLAG_MINIMUMS.items():
         if getattr(args, flag, least) < least:
             parser.error(f"--{flag} must be at least {least}")
+    # the thread count goes to C as an int, and ctypes would wrap a larger one
+    if args.threads > 2**31 - 1:
+        parser.error(f"--threads must be at most {2**31 - 1}")
     if args.command in ("reduce", "fl", "flops", "bench") and args.r < 0:
         parser.error("--r must be non-negative")
     if args.command == "bench" and args.mbm_t is not None:
@@ -396,6 +403,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -6,14 +6,14 @@ straight-line distance between the first and last output rows with the
 length of the sampled output path. A perfectly affine map scores 1; the
 score can never exceed 1 (triangle inequality) and drops toward 0 as the
 output path folds back on itself. profile_model scores every layer's MLP on
-pairs of that layer's inputs, chosen by bipartite matching on its keys.
+pairs of that layer's inputs, chosen by bipartite matching on its keys, and
+returns one FlLayerStats row per layer.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,34 +24,12 @@ from .matching import bipartite_soft_match
 UNDEFINED_PATH_EPS = 1e-12
 
 
-@dataclass
-class FlConfig:
-    """Controls for a linearity sweep over a model's layers."""
-
-    n_steps: int = 21
-    pair_r: int = 5  # matched pairs probed per sequence and layer
-
-    def __post_init__(self):
-        if self.n_steps < 3:
-            raise ValueError(f"n_steps must be >= 3, got {self.n_steps}")
-        if self.pair_r < 0:
-            raise ValueError(f"pair_r must be >= 0, got {self.pair_r}")
-
-
 @dataclass(frozen=True)
 class FlLayerStats:
     layer: int
     mean_fl: float | None
     std_fl: float | None
     count: int
-
-
-@dataclass(frozen=True)
-class FlReport:
-    layers: list[FlLayerStats]
-
-    def to_json(self) -> str:
-        return json.dumps([asdict(s) for s in self.layers], indent=2, sort_keys=True)
 
 
 def interpolate(x1: np.ndarray, x2: np.ndarray,
@@ -119,16 +97,22 @@ def _aggregate(layer: int, values: list[float]) -> FlLayerStats:
     )
 
 
-def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
-    """Per-layer linearity of a block stack's MLP sub-maps.
+def profile_model(model, tokens: np.ndarray, n_steps: int,
+                  pair_r: int) -> list[FlLayerStats]:
+    """Per-layer linearity of a block stack's MLP sub-maps, one row per layer.
 
     Runs the stack without reduction, and at each layer probes the MLP on
-    pairs of its actual inputs: up to cfg.pair_r pairs per sequence, chosen
-    by one batched bipartite matching on that layer's attention keys.
-    Undefined ratios are dropped from the aggregates; a layer with no usable
-    pair reports count 0. Tokens that are not a (B >= 1, N, C) batch raise
-    ShapeError.
+    pairs of its actual inputs: up to pair_r pairs per sequence, chosen by
+    one batched bipartite matching on that layer's attention keys, each
+    sampled at n_steps points. Undefined ratios are dropped from the
+    aggregates; a layer with no usable pair reports count 0. n_steps < 3 or
+    pair_r < 0 raise ValueError before any work, and tokens that are not a
+    (B >= 1, N, C) batch raise ShapeError.
     """
+    if n_steps < 3:
+        raise ValueError(f"n_steps must be >= 3, got {n_steps}")
+    if pair_r < 0:
+        raise ValueError(f"pair_r must be >= 0, got {pair_r}")
     x = vit.check_batch(tokens, "profile_model")
     stats = []
     for l, w in enumerate(model.blocks):
@@ -139,14 +123,14 @@ def profile_model(model, tokens: np.ndarray, cfg: FlConfig) -> FlReport:
         f = lambda v, w=w: vit.mlp_map(v, w)
 
         values: list[float] = []
-        if x.shape[1] >= 2 and cfg.pair_r > 0:
-            m = bipartite_soft_match(vit.head_mean(keys), cfg.pair_r)
+        if x.shape[1] >= 2 and pair_r > 0:
+            m = bipartite_soft_match(vit.head_mean(keys), pair_r)
             for b, (srcs, dsts) in enumerate(zip(m.idx_src, m.idx_dst)):
                 for s, d in zip(srcs, dsts):
-                    fl = functional_linearity(f, mlp_in[b, s], mlp_in[b, d], cfg.n_steps)
+                    fl = functional_linearity(f, mlp_in[b, s], mlp_in[b, d], n_steps)
                     if fl is not None:
                         values.append(fl)
         stats.append(_aggregate(l, values))
 
         x = x_star + vit.mlp_map(mlp_in, w)
-    return FlReport(layers=stats)
+    return stats

@@ -61,6 +61,19 @@ class TestGen:
                                    "--out-weights", "m.tfw") == 2
         assert not any(tmp_path.iterdir())
 
+    def test_out_of_memory_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        # the tokens are drawn before any file is written
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli, "_random_tokens", no_memory)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen", "--arch", "vit-tiny", "--image", "64",
+                       "--out-weights", "m.tfw", "--out-tokens", "t.ttf") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestReduce:
     def make_inputs(self, tmp_path, n=10, c=6):
@@ -420,6 +433,12 @@ def test_threads_flag_sets_openblas_count(n):
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_threads_below_one_is_usage_error(n):
     # OpenBLAS would take these as "use every core"
+    assert run_cli_usage_error("--threads", n, "flops", "--arch", "vit-tiny") == 2
+
+
+@pytest.mark.parametrize("n", ["2147483648", "4294967296"])
+def test_threads_above_c_int_is_usage_error(n):
+    # ctypes would wrap these to -2**31 and 0, and OpenBLAS reads 0 as every core
     assert run_cli_usage_error("--threads", n, "flops", "--arch", "vit-tiny") == 2
 
 

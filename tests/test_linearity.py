@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from model_fixtures import identity_mlp_model
 from tofu import linearity, vit
-from tofu.linearity import FlConfig, functional_linearity, interpolate, path_length
+from tofu.linearity import functional_linearity, interpolate, path_length
 
 
 def test_interpolate_endpoints():
@@ -187,18 +188,21 @@ def test_fl_matches_per_sample_loop(seed, steps):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        FlConfig(n_steps=2)
-    with pytest.raises(ValueError):
-        FlConfig(pair_r=-1)
+    model = identity_mlp_model(depth=1)
+    tokens = np.random.default_rng(0).standard_normal((1, 6, 4)).astype(np.float32)
+    # pair_r=0 probes no pair, so the step count must be checked up front
+    with pytest.raises(ValueError, match="n_steps"):
+        linearity.profile_model(model, tokens, n_steps=2, pair_r=0)
+    with pytest.raises(ValueError, match="pair_r"):
+        linearity.profile_model(model, tokens, n_steps=21, pair_r=-1)
 
 
 def test_profile_identity_mlp_is_one():
     model = identity_mlp_model()
     rng = np.random.default_rng(1)
     tokens = rng.standard_normal((2, 8, 4)).astype(np.float32)
-    report = linearity.profile_model(model, tokens, FlConfig(pair_r=2))
-    for stats in report.layers:
+    rows = linearity.profile_model(model, tokens, n_steps=21, pair_r=2)
+    for stats in rows:
         assert stats.count > 0
         assert stats.mean_fl == pytest.approx(1.0, abs=1e-5)
 
@@ -209,10 +213,11 @@ def test_profile_values_in_range_and_deterministic():
     model = vit.random_model(cfg, 3)
     rng = np.random.default_rng(4)
     tokens = rng.standard_normal((2, cfg.n_tokens, 8)).astype(np.float32)
-    r1 = linearity.profile_model(model, tokens, FlConfig(pair_r=5))
-    r2 = linearity.profile_model(model, tokens, FlConfig(pair_r=5))
+    r1 = linearity.profile_model(model, tokens, n_steps=21, pair_r=5)
+    r2 = linearity.profile_model(model, tokens, n_steps=21, pair_r=5)
     assert r1 == r2
-    for stats in r1.layers:
+    assert [stats.layer for stats in r1] == list(range(cfg.depth))
+    for stats in r1:
         assert stats.count > 0
         assert 0.0 <= stats.mean_fl <= 1.0 + 1e-6
 
@@ -231,7 +236,7 @@ def test_profile_maps_each_pair_in_one_call(monkeypatch):
         return mlp_map(v, w)
 
     monkeypatch.setattr(vit, "mlp_map", counting)
-    linearity.profile_model(model, tokens, FlConfig(pair_r=5))
+    linearity.profile_model(model, tokens, n_steps=21, pair_r=5)
     pairs = tokens.shape[0] * 5
     # per layer: one call per probed pair, on its stacked path samples, and
     # one to advance the stack
@@ -242,16 +247,13 @@ def test_profile_maps_each_pair_in_one_call(monkeypatch):
 def test_profile_no_pairs_reports_count_zero():
     model = identity_mlp_model(depth=1)
     tokens = np.random.default_rng(0).standard_normal((1, 6, 4)).astype(np.float32)
-    report = linearity.profile_model(model, tokens, FlConfig(pair_r=0))
-    assert report.layers[0].count == 0
-    assert report.layers[0].mean_fl is None
+    rows = linearity.profile_model(model, tokens, n_steps=21, pair_r=0)
+    assert rows[0].count == 0
+    assert rows[0].mean_fl is None
 
 
 def test_report_json_shape():
     model = identity_mlp_model(depth=1)
     tokens = np.random.default_rng(0).standard_normal((1, 6, 4)).astype(np.float32)
-    report = linearity.profile_model(model, tokens, FlConfig(pair_r=2))
-    import json
-
-    rows = json.loads(report.to_json())
-    assert rows[0].keys() == {"layer", "mean_fl", "std_fl", "count"}
+    rows = linearity.profile_model(model, tokens, n_steps=21, pair_r=2)
+    assert asdict(rows[0]).keys() == {"layer", "mean_fl", "std_fl", "count"}

@@ -329,7 +329,7 @@ class TestMalformedBatch:
             lambda: vit.block_forward(x, model.blocks[0], 2, MergeMethod.AVERAGE, 2,
                                       ReducePlacement.BEFORE_ATTN),
             lambda: highway.highway_forward(x, model, ReduceSpec(r=2)),
-            lambda: linearity.profile_model(model, x, linearity.FlConfig()),
+            lambda: linearity.profile_model(model, x, 21, 5),
         ]
         for call in calls:
             with pytest.raises(ShapeError, match=re.escape(str(shape))):
