@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import fusion, highway, linearity, vit
-from .tensor import FLOAT, FormatError, read_ttf, write_ttf
+from .tensor import FLOAT, FormatError, read_ttf, rewrite, write_ttf
 
 log = logging.getLogger("tofu")
 
@@ -98,9 +98,14 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    data = text.encode("utf-8")
+    with rewrite(path) as fh:
+        fh.write(data)
+
+
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(obj))
+    _write_text(path, _dump_json(obj))
 
 
 def _arch_config(args) -> vit.VitConfig:
@@ -162,8 +167,7 @@ def cmd_fl(args) -> int:
     text = json.dumps([dataclasses.asdict(row) for row in rows],
                       indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -284,9 +288,18 @@ def cmd_gen(args) -> int:
     model = vit.random_model(cfg, args.seed, n_classes=args.classes or None)
     # drawn before any file is written, so running out of memory leaves none
     tokens = _random_tokens(cfg, args.batch, args.seed) if args.out_tokens else None
-    vit.save_weights(args.out_weights, model)
-    if tokens is not None:
-        write_ttf(args.out_tokens, tokens)
+    # a failed run removes the outputs it created, and only those
+    created = [path for path in (args.out_weights, args.out_tokens)
+               if path and not os.path.lexists(path)]
+    try:
+        vit.save_weights(args.out_weights, model)
+        if tokens is not None:
+            write_ttf(args.out_tokens, tokens)
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     log.info("wrote %s (depth %d, C %d)", args.out_weights, cfg.depth, cfg.channels)
     return 0
 

@@ -10,13 +10,16 @@ float32.
 
 A tensor record, the unit of TTF1 and TFW1 files, is a u8 ndim, ndim u32
 dims, then the row-major float32 payload, all little-endian; only this
-module writes (payload, write_record) and reads (RecordReader) one.
+module writes (payload, write_record) and reads (RecordReader) one. Every
+output file of the package, binary or JSON, is written through rewrite().
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -193,11 +196,55 @@ class RecordReader:
                 f"{self.fmt} file has {self.size - self.offset} trailing bytes")
 
 
+@contextlib.contextmanager
+def rewrite(path: str, magic: bytes = b""):
+    """Open path to write it anew, in place: yields a binary file positioned
+    after magic, and the file ends where the block's last write does.
+
+    The target is opened without O_TRUNC and cut to the length written at
+    the end, so it keeps its inode, links and mode, as with O_TRUNC. The
+    reason is ext4's auto_da_alloc, which forces a file that was truncated
+    to zero and written again to disk when it is closed; a file rewritten
+    in place stays in the page cache like any other write. On a regular
+    file, magic is written last, over zero bytes kept for it, so a rewrite
+    killed part way leaves either the old file, if none of the new bytes
+    reached it, or one whose magic does not match; an exception in the
+    block cuts the file to zero length and re-raises. Any other
+    target (a pipe, a character device, /dev/stdout) is written front to
+    back, magic first, and never cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.write(magic)
+            yield fh
+            return
+        try:
+            fh.write(bytes(len(magic)))
+            yield fh
+            fh.truncate()
+            if magic:
+                fh.seek(0)
+                fh.write(magic)
+        except BaseException:
+            # flushed first, so that buffered bytes land before the cut
+            with contextlib.suppress(OSError):
+                fh.flush()
+            os.ftruncate(fd, 0)
+            raise
+
+
 def write_ttf(path: str, x: np.ndarray) -> None:
-    """Write an array to a TTF1 file: the magic, then one tensor record."""
+    """Write an array to a TTF1 file: the magic, then one tensor record.
+
+    The file is rewritten in place under rewrite()'s rules: a non-finite
+    entry raises ValueError before it is opened, a failed write leaves it
+    empty, and a write killed part way leaves the old file or one without
+    its magic, so read_ttf raises FormatError rather than read a mix of old
+    and new bytes.
+    """
     x = payload(x, "TTF1 payload")
-    with open(path, "wb") as fh:
-        fh.write(TTF_MAGIC)
+    with rewrite(path, TTF_MAGIC) as fh:
         write_record(fh, x)
 
 

@@ -421,7 +421,11 @@ def random_model(cfg: VitConfig, seed: int, n_classes: int | None = None
 def save_weights(path: str, model: VitModel) -> None:
     """Write a model to the TFW1 format; save -> load round-trips bit-exactly.
 
-    A non-finite entry raises ValueError before the file is opened.
+    A non-finite entry raises ValueError before the file is opened. The file
+    is rewritten in place under tofu.tensor.rewrite()'s rules: a failed write
+    leaves it empty, and a write killed part way leaves the old file or one
+    without its magic, so load_weights raises FormatError rather than read
+    a mix of old and new bytes.
     """
     block, head = _layout(0, 0, 0)  # names and fields only
     owners = [(f"blocks.{l}.", blk, block) for l, blk in enumerate(model.blocks)]
@@ -430,8 +434,7 @@ def save_weights(path: str, model: VitModel) -> None:
     entries = [(prefix + name, tensor.payload(getattr(owner, field), prefix + name))
                for prefix, owner, table in owners for name, field, _ in table]
 
-    with open(path, "wb") as fh:
-        fh.write(TFW_MAGIC)
+    with tensor.rewrite(path, TFW_MAGIC) as fh:
         fh.write(struct.pack("<I", len(entries)))
         for name, arr in entries:
             raw = name.encode("utf-8")

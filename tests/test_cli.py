@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import itertools
 import json
@@ -22,6 +23,28 @@ def run_cli_usage_error(*argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     return exc.value.code
+
+
+def check_rewrites(tmp_path, argvs, outputs):
+    """Run each argv, whose output paths start with "{out}", into one shared
+    directory in turn and into an empty one of its own: every output in the
+    shared one must hold the bytes of the fresh run, after both a longer and
+    a shorter earlier output."""
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    sizes = {name: [] for name in outputs}
+    for i, argv in enumerate(argvs):
+        fresh = tmp_path / f"fresh{i}"
+        fresh.mkdir()
+        for out in (shared, fresh):
+            assert run_cli(*[a.replace("{out}", str(out)) for a in argv]) == 0
+        for name in outputs:
+            blob = (shared / name).read_bytes()
+            assert blob == (fresh / name).read_bytes(), (argv, name)
+            sizes[name].append(len(blob))
+    for name, seq in sizes.items():
+        steps = [b - a for a, b in zip(seq, seq[1:])]
+        assert min(steps) < 0 < max(steps), (name, seq)
 
 
 class TestGen:
@@ -73,6 +96,33 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+    def test_failed_tokens_write_removes_the_weights_it_wrote(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "--arch", "vit-tiny", "--image", "64",
+                "--out-weights", "w.tfw", "--out-tokens", "nodir/t.ttf"]
+        assert run_cli(*argv) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_failed_run_keeps_the_outputs_that_were_there(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("w.tfw").write_bytes(b"old weights")
+        assert run_cli("gen", "--arch", "vit-tiny", "--image", "64",
+                       "--out-weights", "w.tfw", "--out-tokens", "nodir/t.ttf") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["w.tfw"]
+        vit.load_weights("w.tfw")  # rewritten before the tokens failed
+        pathlib.Path("t.ttf").write_bytes(b"old tokens")
+        assert run_cli("gen", "--arch", "vit-tiny", "--image", "64",
+                       "--out-weights", "nodir/w.tfw", "--out-tokens", "t.ttf") == 1
+        assert pathlib.Path("t.ttf").read_bytes() == b"old tokens"
+
+    def test_rewrites_equal_fresh_outputs(self, tmp_path):
+        check_rewrites(tmp_path, [
+            ["gen", "--arch", "vit-tiny", "--image", "64", "--batch", batch,
+             "--classes", classes, "--out-weights", "{out}/w.tfw",
+             "--out-tokens", "{out}/t.ttf"]
+            for batch, classes in (("3", "10"), ("1", "0"), ("3", "10"))],
+            ["w.tfw", "t.ttf"])
 
 
 class TestReduce:
@@ -126,6 +176,15 @@ class TestReduce:
                                "--out", str(out), "--trace", str(trace)) == 0
                 assert read_ttf(str(out)).tobytes() == reduced[i].tobytes()
                 assert json.loads(trace.read_text()) == traces[i]
+
+    def test_rewrites_equal_fresh_outputs(self, tmp_path):
+        x = np.random.default_rng(5).standard_normal((3, 40, 6)).astype(np.float32)
+        write_ttf(str(tmp_path / "x.ttf"), x)
+        check_rewrites(tmp_path, [
+            ["reduce", "--input", str(tmp_path / "x.ttf"), "--r", r, "--method", method,
+             "--out", "{out}/o.ttf", "--trace", "{out}/t.json"]
+            for r, method in (("2", "mlerp"), ("8", "pruned"), ("2", "average"))],
+            ["o.ttf", "t.json"])
 
     def test_bogus_method_is_usage_error(self, tmp_path):
         _, xp, kp = self.make_inputs(tmp_path)
@@ -194,6 +253,26 @@ class TestFl:
         run_cli("fl", "--model", wpath, "--tokens", tpath, "--out", str(a))
         run_cli("fl", "--model", wpath, "--tokens", tpath, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rewrites_equal_fresh_outputs(self, tmp_path):
+        wpath, tpath = self.make_fixture(tmp_path)
+        deep = str(tmp_path / "deep.tfw")
+        vit.save_weights(deep, identity_mlp_model(depth=4))
+        check_rewrites(tmp_path, [
+            ["fl", "--model", model, "--tokens", tpath, "--r", "2", "--out", "{out}/fl.json"]
+            for model in (deep, wpath, deep)], ["fl.json"])
+
+    def test_out_dev_stdout_into_a_pipe(self, tmp_path):
+        # a pipe cannot be cut, and is written and left alone
+        wpath, tpath = self.make_fixture(tmp_path)
+        out = tmp_path / "fl.json"
+        assert run_cli("fl", "--model", wpath, "--tokens", tpath, "--out", str(out)) == 0
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tofu", "fl", "--model", wpath, "--tokens", tpath,
+             "--out", "/dev/stdout"], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
 
     def test_zero_heads_model_is_runtime_error(self, tmp_path, capsys):
         wpath, tpath = self.make_fixture(tmp_path)
@@ -277,6 +356,11 @@ class TestFlops:
         assert text.count("\n") == 1  # compact: one line
         assert cli._dump_json(json.loads(text)) == text
 
+    def test_rewrites_equal_fresh_outputs(self, tmp_path):
+        check_rewrites(tmp_path, [
+            ["flops", "--arch", arch, "--r", "4", "--out", "{out}/f.json"]
+            for arch in ("vit-l16", "vit-tiny", "vit-l16")], ["f.json"])
+
     def test_vitb16_r16_report_bytes_anchor(self, tmp_path):
         # frozen once from this cost model and writer
         out = tmp_path / "f.json"
@@ -348,6 +432,17 @@ class TestBench:
         warmup = [s for s in specs for _ in range(2)]
         assert seen == warmup + specs * 3
 
+    def test_rewrites_equal_fresh_outputs(self, tmp_path, monkeypatch):
+        def report(cfg, methods, *args):
+            return {"config": {"batch": 1}, "rows": [
+                {"method": m, "median_ms": 1.0, "p10_ms": 1.0, "p90_ms": 1.0,
+                 "images_per_s": 1000.0} for m in methods]}
+
+        monkeypatch.setattr(cli, "run_bench", report)
+        check_rewrites(tmp_path, [
+            ["bench", "--arch", "vit-tiny", "--methods", methods, "--out", "{out}/b.json"]
+            for methods in ("full,pruned,average", "full", "mlerp,full")], ["b.json"])
+
     def test_single_repeat_is_usage_error(self):
         assert run_cli_usage_error("bench", "--arch", "vit-tiny",
                                    "--repeat", "1") == 2
@@ -377,6 +472,46 @@ class TestBench:
         # for a prefix of --mbm-t either
         assert run_cli_usage_error("bench", "--arch", "vit-tiny", "--mode", "highway",
                                    "--mbm", "0.5") == 2
+
+
+def test_no_writer_opens_its_target_with_o_trunc(tmp_path, monkeypatch):
+    # every output is written a second time over the first, through the
+    # spies; the bench report comes from a stub, its writer is the point
+    x = tmp_path / "x.ttf"
+    write_ttf(str(x), np.random.default_rng(6).standard_normal((2, 12, 4)).astype(np.float32))
+    monkeypatch.setattr(cli, "run_bench", lambda *args: {"config": {}, "rows": []})
+    commands = [
+        ["--seed", "1", "gen", "--arch", "vit-tiny", "--image", "32",
+         "--out-weights", "m.tfw", "--out-tokens", "t.ttf"],
+        ["reduce", "--input", str(x), "--r", "3", "--method", "mlerp",
+         "--out", "o.ttf", "--trace", "o.json"],
+        ["fl", "--model", "m.tfw", "--tokens", "t.ttf", "--r", "1", "--out", "fl.json"],
+        ["flops", "--arch", "vit-tiny", "--out", "f.json"],
+        ["bench", "--arch", "vit-tiny", "--out", "b.json"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_cli(*argv) == 0
+    opened = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), bool(flags & os.O_TRUNC)))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append((os.fspath(file), "w" in mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    for argv in commands:
+        assert run_cli(*argv) == 0
+    monkeypatch.undo()
+    targets = {"m.tfw", "t.ttf", "o.ttf", "o.json", "fl.json", "f.json", "b.json"}
+    assert targets <= {path for path, _ in opened}
+    assert [path for path, truncating in opened if truncating] == []
 
 
 def test_log_env_var_accepted(tmp_path, monkeypatch):

@@ -1,4 +1,10 @@
 import math
+import os
+import pathlib
+import signal
+import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -244,3 +250,91 @@ class TestTtfFormat:
         path = tmp_path / "t.ttf"
         with pytest.raises(ValueError, match="finite"):
             tensor.write_ttf(str(path), np.array([np.nan], dtype=np.float32))
+
+
+# Rewrites the file argv[1] with a (4, 16) TTF1 of ones, and is killed once
+# its record has reached the file, before the cut and the magic.
+_KILLED_REWRITE = """
+import os, signal, sys
+import numpy as np
+from tofu import tensor
+write_record = tensor.write_record
+def write_and_die(fh, x):
+    write_record(fh, x)
+    fh.flush()  # as a record larger than the buffer would be
+    os.kill(os.getpid(), signal.SIGKILL)
+tensor.write_record = write_and_die
+tensor.write_ttf(sys.argv[1], np.ones((4, 16), dtype=np.float32))
+"""
+
+
+class TestRewrite:
+    def test_shorter_and_longer_rewrites_equal_a_fresh_write(self, tmp_path):
+        rng = np.random.default_rng(4)
+        long_x = rng.standard_normal((3, 50, 8)).astype(np.float32)
+        short_x = rng.standard_normal((2, 7)).astype(np.float32)
+        path, fresh = tmp_path / "t.ttf", tmp_path / "fresh.ttf"
+        for x in (long_x, short_x, long_x):
+            tensor.write_ttf(str(path), x)
+            fresh.unlink(missing_ok=True)
+            tensor.write_ttf(str(fresh), x)
+            assert path.read_bytes() == fresh.read_bytes()
+            assert np.array_equal(tensor.read_ttf(str(path)), x)
+
+    def test_inode_links_and_mode_kept(self, tmp_path):
+        path, link = tmp_path / "t.ttf", tmp_path / "link.ttf"
+        tensor.write_ttf(str(path), np.zeros((4, 4), dtype=np.float32))
+        path.chmod(0o640)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        x = np.ones((2, 3), dtype=np.float32)
+        tensor.write_ttf(str(path), x)
+        after = path.stat()
+        assert (after.st_ino, after.st_nlink, stat.S_IMODE(after.st_mode)) == (inode, 2, 0o640)
+        assert np.array_equal(tensor.read_ttf(str(link)), x)
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "plain", "wb"):
+            pass
+        tensor.write_ttf(str(tmp_path / "t.ttf"), np.zeros(3, dtype=np.float32))
+        assert (tmp_path / "t.ttf").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_failed_write_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.ttf"
+        tensor.write_ttf(str(path), np.zeros((64, 64), dtype=np.float32))
+
+        def write_then_fail(fh, x):
+            fh.write(b"\x01" * 100_000)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tensor, "write_record", write_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            tensor.write_ttf(str(path), np.ones((2, 2), dtype=np.float32))
+        assert path.stat().st_size == 0
+
+    def test_killed_rewrite_fails_the_magic_check(self, tmp_path):
+        # the old file has the new one's shape, so the new record over it
+        # would read as a well-formed file if the magic were already there
+        path, fresh = tmp_path / "t.ttf", tmp_path / "fresh.ttf"
+        tensor.write_ttf(str(path), np.zeros((4, 16), dtype=np.float32))
+        tensor.write_ttf(str(fresh), np.ones((4, 16), dtype=np.float32))
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tensor.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _KILLED_REWRITE, str(path)],
+                              env=env, timeout=120)
+        assert proc.returncode == -signal.SIGKILL
+        blob = path.read_bytes()
+        assert blob[:4] == bytes(4) and blob[4:] == fresh.read_bytes()[4:]
+        with pytest.raises(tensor.FormatError, match="magic"):
+            tensor.read_ttf(str(path))
+
+    def test_pipe_and_device_targets_are_written_uncut(self, tmp_path):
+        x = np.arange(12, dtype=np.float32).reshape(3, 4)
+        fresh = tmp_path / "fresh.ttf"
+        tensor.write_ttf(str(fresh), x)
+        tensor.write_ttf("/dev/null", x)
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as reader:
+            with os.fdopen(w, "wb"):
+                # the record fits in the pipe's buffer, so nothing blocks
+                tensor.write_ttf(f"/dev/fd/{w}", x)
+            assert reader.read() == fresh.read_bytes()

@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
 import re
+import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -441,6 +446,22 @@ class TestRandomModel:
             "61377edbee3e3bb4f48dd0e83888b456ec184a90b3d12c1d110a12a2728709a0")
 
 
+# Rewrites the file argv[1] with tiny_model(seed=0), and is killed once the
+# first tensor record has reached the file.
+_KILLED_SAVE = """
+import os, signal, sys
+from tofu import tensor, vit
+write_record = tensor.write_record
+def write_and_die(fh, x):
+    write_record(fh, x)
+    fh.flush()  # as a record larger than the buffer would be
+    os.kill(os.getpid(), signal.SIGKILL)
+tensor.write_record = write_and_die
+cfg = vit.VitConfig(depth=2, channels=8, heads=2, patch=16, image=64)
+vit.save_weights(sys.argv[1], vit.random_model(cfg, 0))
+"""
+
+
 class TestWeightFile:
     def test_round_trip_bit_exact(self, tmp_path):
         model = tiny_model(seed=21)
@@ -487,6 +508,34 @@ class TestWeightFile:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing bytes"):
             vit.load_weights(str(path))
+
+    def test_shorter_and_longer_rewrites_equal_a_fresh_write(self, tmp_path):
+        path, fresh = tmp_path / "m.tfw", tmp_path / "fresh.tfw"
+        for model in (tiny_model(depth=3), tiny_model(depth=1, seed=1), tiny_model(depth=3)):
+            vit.save_weights(str(path), model)
+            fresh.unlink(missing_ok=True)
+            vit.save_weights(str(fresh), model)
+            assert path.read_bytes() == fresh.read_bytes()
+
+    def test_killed_rewrite_fails_the_magic_check(self, tmp_path):
+        # seed 0's first tensor over seed 1's file is a well-formed mix of two
+        # models, and only the magic, written last, tells it apart
+        path = tmp_path / "m.tfw"
+        vit.save_weights(str(path), tiny_model(seed=1))
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(vit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _KILLED_SAVE, str(path)],
+                              env=env, timeout=120)
+        assert proc.returncode == -signal.SIGKILL
+        with pytest.raises(FormatError, match="magic"):
+            vit.load_weights(str(path))
+        blob = path.read_bytes()
+        assert blob[:4] == bytes(4)
+        path.write_bytes(b"TFW1" + blob[4:])
+        mix = vit.load_weights(str(path))
+        first, second = tiny_model(seed=0).blocks[0], tiny_model(seed=1).blocks[0]
+        assert np.array_equal(mix.blocks[0].qkv_weight, first.qkv_weight)
+        assert np.array_equal(mix.blocks[0].proj_weight, second.proj_weight)
+        assert not np.array_equal(first.proj_weight, second.proj_weight)
 
     def test_entry_is_a_ttf1_record_after_its_name(self, tmp_path):
         # a TFW1 entry is the u16 name length, the name, then exactly what a
