@@ -8,7 +8,6 @@ from .fusion import (
     ReduceSpec,
     ReduceTrace,
     apply_reduce,
-    parse_merge_string,
     unmerge,
 )
 from .highway import MbmConfig, distribute, highway_block, highway_forward, mbm_mask, update_index

@@ -200,13 +200,11 @@ def cmd_flops(args) -> int:
     return 0
 
 
-def _bench_spec(method: str, r: int, depth: int) -> fusion.ReduceSpec:
+def _bench_spec(method: str, r: int) -> fusion.ReduceSpec:
+    """The spec that `bench --methods` times: one method in every layer."""
     if method == "full":
         return fusion.ReduceSpec(r=0)
-    mm = fusion.MergeMethod(method)
-    if mm is fusion.MergeMethod.PRUNED:
-        return fusion.ReduceSpec(r=r, merge_string="P" * depth)
-    return fusion.ReduceSpec(r=r, merge_string="A" * depth, late_method=mm)
+    return fusion.ReduceSpec(r=r, d=0, late_method=fusion.MergeMethod(method))
 
 
 def _random_tokens(cfg: vit.VitConfig, batch: int, seed: int) -> np.ndarray:
@@ -229,7 +227,7 @@ def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,
         else:
             vit.forward(x, model, spec)
 
-    specs = [_bench_spec(method, r, cfg.depth) for method in methods]
+    specs = [_bench_spec(method, r) for method in methods]
     for spec in specs:
         for _ in range(warmup):
             one_pass(spec)

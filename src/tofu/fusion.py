@@ -16,12 +16,13 @@ Merges recompute only touched destinations, in float64; the rest pass through.
 The reduce takes one (N, C) sequence or a (B, N, C) batch, and a batch item
 gets exactly the bits it gets alone.
 
-Every schedule is a string of 'P' (prune) and 'A' (late method), one
-character per layer; the hybrid d-threshold spec is compiled into one.
+A schedule is one threshold d: layers below d prune, layers from d on
+apply the spec's late method, so d = 0 fuses with it in every layer.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,28 +40,27 @@ class MergeMethod(Enum):
     MLERP = "mlerp"
 
 
-class MergeStringError(ValueError):
-    """A per-layer schedule string failed to parse; offset points at the problem."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at index {offset})")
-        self.offset = offset
-
-
 @dataclass(frozen=True)
 class ReduceSpec:
-    """Per-layer reduction policy: how many tokens to drop and how to fuse them."""
+    """Per-layer reduction policy: drop r tokens in every layer, pruning below
+    layer d and fusing with late_method from d on (d = 0: in every layer).
+
+    r and d are integers >= 0 (numpy ints pass) and late_method a
+    MergeMethod; anything else raises TypeError or ValueError when built.
+    """
 
     r: int = 0
     d: int = 6
     late_method: MergeMethod = MergeMethod.MLERP
-    merge_string: str | None = None  # overrides the d-threshold schedule
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"reduction count r must be >= 0, got {self.r}")
-        if self.d < 1:
-            raise ValueError(f"hybrid threshold d must be >= 1, got {self.d}")
+        for name in ("r", "d"):
+            value = operator.index(getattr(self, name))
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if not isinstance(self.late_method, MergeMethod):
+            raise TypeError(
+                f"late_method must be a MergeMethod, got {self.late_method!r}")
 
 
 @dataclass(frozen=True)
@@ -235,38 +235,7 @@ def unmerge(reduced: np.ndarray, trace: ReduceTrace) -> np.ndarray:
     return reduced[np.arange(len(index))[:, None], index]
 
 
-def parse_merge_string(s: str, late_method: MergeMethod,
-                       expected_len: int) -> list[MergeMethod]:
-    """Turn a 'P'/'A' schedule string into per-layer methods.
-
-    'P' prunes, 'A' applies late_method. Any interleaving is allowed; other
-    characters or a length other than expected_len raise MergeStringError
-    with the offset of the offending position.
-    """
-    methods = []
-    for i, ch in enumerate(s):
-        if i >= expected_len:
-            raise MergeStringError(
-                f"merge string longer than the {expected_len}-layer model", i)
-        if ch == "P":
-            methods.append(MergeMethod.PRUNED)
-        elif ch == "A":
-            methods.append(late_method)
-        else:
-            raise MergeStringError(f"invalid merge character {ch!r}", i)
-    if len(methods) < expected_len:
-        raise MergeStringError(
-            f"merge string covers {len(methods)} of {expected_len} layers", len(s))
-    return methods
-
-
 def layer_methods(spec: ReduceSpec, depth: int) -> list[MergeMethod]:
-    """Per-layer methods for a depth-L stack.
-
-    merge_string wins when set; otherwise the hybrid rule prunes the first d
-    layers and applies late_method from layer d on.
-    """
-    s = spec.merge_string
-    if s is None:
-        s = "P" * min(spec.d, depth) + "A" * max(depth - spec.d, 0)
-    return parse_merge_string(s, spec.late_method, depth)
+    """Per-layer methods of a depth-L stack: PRUNED below spec.d, then late_method."""
+    return [MergeMethod.PRUNED if l < spec.d else spec.late_method
+            for l in range(depth)]

@@ -327,7 +327,8 @@ def flops_estimate(cfg: VitConfig, spec: ReduceSpec,
     attention 4*N*C^2 + 2*N^2*C, MLP 2*ratio*M*C^2. The patch embedding
     contributes n_patches * C * 3 * patch^2; norms, softmax and the head
     are excluded. These conventions reproduce published GFLOP figures for
-    the standard 12- and 24-layer configurations within 2%.
+    the standard 12- and 24-layer configurations within 2%. Only spec.r is
+    read: d and late_method choose how tokens fuse, not how many remain.
     """
     c = cfg.channels
     layers = []

@@ -22,7 +22,6 @@ from tofu.fusion import (
     layer_methods,
     merge_average,
     merge_mlerp,
-    parse_merge_string,
     unmerge,
 )
 from tofu.highway import MbmConfig
@@ -184,24 +183,14 @@ def test_fl_metric():
         in_range += 1
 
 
-@criterion("Hybrid dispatch agrees across all 4,096 12-layer schedules")
+@criterion("Hybrid dispatch: every threshold d prunes min(d, depth) layers, then merges")
 def test_hybrid_dispatch():
-    depth = 12
-    for bits in range(2 ** depth):
-        s = "".join("A" if bits & (1 << l) else "P" for l in range(depth))
-        parsed = parse_merge_string(s, MergeMethod.AVERAGE, depth)
-        expected = [MergeMethod.PRUNED if ch == "P" else MergeMethod.AVERAGE
-                    for ch in s]
-        assert parsed == expected
-        # threshold-shaped strings must match the d-rule dispatch
-        d = len(s) - len(s.lstrip("P"))
-        if s == "P" * d + "A" * (depth - d) and 1 <= d <= depth:
-            spec = ReduceSpec(r=8, d=d, late_method=MergeMethod.AVERAGE)
-            assert parsed == layer_methods(spec, depth)
-
-    spec_d6 = ReduceSpec(r=8, d=6, late_method=MergeMethod.AVERAGE)
-    assert parse_merge_string("PPPPPPAAAAAA", MergeMethod.AVERAGE, 12) == layer_methods(
-        spec_d6, 12)
+    for depth in (1, 12, 24):
+        for d in range(depth + 3):
+            for method in MergeMethod:
+                spec = ReduceSpec(r=8, d=d, late_method=method)
+                expected = [MergeMethod.PRUNED] * min(d, depth) + [method] * max(depth - d, 0)
+                assert layer_methods(spec, depth) == expected
 
 
 @criterion("Highway matches the naive composition oracle; MBM inf is a no-op")
@@ -216,8 +205,7 @@ def test_highway_consistency():
             model = vit.random_model(cfg, seed)
             n = int(rng.integers(8, 17))
             x = rng.standard_normal((2, n, 8)).astype(np.float32)
-            string = ("P" if method is MergeMethod.PRUNED else "A") * depth
-            spec = ReduceSpec(r=2, merge_string=string, late_method=method)
+            spec = ReduceSpec(r=2, d=0, late_method=method)
             methods = layer_methods(spec, depth)
 
             state = highway.init_state(x)

@@ -12,6 +12,7 @@ import pytest
 
 from model_fixtures import identity_mlp_model, rewrite_tfw_config
 from tofu import cli, highway, linearity, vit
+from tofu.fusion import MergeMethod, layer_methods
 from tofu.tensor import read_ttf, write_ttf
 
 
@@ -421,6 +422,14 @@ class TestBench:
         assert cfg["mode"] == "highway"
         assert cfg["mbm"] == {"enabled": True, "t": 1.5}
 
+    @pytest.mark.parametrize("depth", [1, 12, 24])
+    def test_method_names_map_to_schedules(self, depth):
+        assert cli._bench_spec("full", 4).r == 0
+        for name in ("pruned", "average", "mlerp"):
+            spec = cli._bench_spec(name, 4)
+            assert spec.r == 4
+            assert layer_methods(spec, depth) == [MergeMethod(name)] * depth
+
     def test_methods_interleave_across_repeats(self, monkeypatch):
         seen = []
         monkeypatch.setattr(vit, "forward", lambda x, model, spec: seen.append(spec))
@@ -428,7 +437,7 @@ class TestBench:
         methods = ["full", "pruned", "mlerp"]
         cli.run_bench(cfg, methods, r=2, batch=1, repeat=3, warmup=2, seed=0,
                       mode="normal", mbm=highway.MbmConfig())
-        specs = [cli._bench_spec(m, 2, cfg.depth) for m in methods]
+        specs = [cli._bench_spec(m, 2) for m in methods]
         warmup = [s for s in specs for _ in range(2)]
         assert seen == warmup + specs * 3
 

@@ -351,40 +351,10 @@ class TestSchedules:
         spec = ReduceSpec(r=1, d=20, late_method=MergeMethod.MLERP)
         assert fusion.layer_methods(spec, 12) == [MergeMethod.PRUNED] * 12
 
-    def test_parse_canonical_d6(self):
-        methods = fusion.parse_merge_string("PPPPPPAAAAAA", MergeMethod.AVERAGE, 12)
-        assert methods == [MergeMethod.PRUNED] * 6 + [MergeMethod.AVERAGE] * 6
-
-    def test_parse_reversed_order(self):
-        methods = fusion.parse_merge_string("AAAAAAAAPPPP", MergeMethod.AVERAGE, 12)
-        assert methods == [MergeMethod.AVERAGE] * 8 + [MergeMethod.PRUNED] * 4
-
-    def test_parse_bad_character_offset(self):
-        with pytest.raises(fusion.MergeStringError) as exc:
-            fusion.parse_merge_string("PX", MergeMethod.MLERP, 2)
-        assert exc.value.offset == 1
-
-    def test_parse_wrong_length(self):
-        with pytest.raises(fusion.MergeStringError) as exc:
-            fusion.parse_merge_string("PPP", MergeMethod.MLERP, 12)
-        assert exc.value.offset == 3
-        with pytest.raises(fusion.MergeStringError) as exc:
-            fusion.parse_merge_string("P" * 13, MergeMethod.MLERP, 12)
-        assert exc.value.offset == 12
-
-    def test_string_dispatch_matches_threshold_form(self):
-        for d in range(1, 13):
-            spec = ReduceSpec(r=8, d=d, late_method=MergeMethod.MLERP)
-            s = "P" * d + "A" * (12 - d)
-            parsed = fusion.parse_merge_string(s, spec.late_method, 12)
-            assert parsed == fusion.layer_methods(spec, 12)
-
-    def test_layer_methods_uses_merge_string(self):
-        spec = ReduceSpec(r=4, merge_string="PAPA",
-                          late_method=MergeMethod.AVERAGE)
-        assert fusion.layer_methods(spec, 4) == [
-            MergeMethod.PRUNED, MergeMethod.AVERAGE,
-            MergeMethod.PRUNED, MergeMethod.AVERAGE]
+    def test_layer_methods_threshold_zero_merges_all(self):
+        for method in MergeMethod:
+            spec = ReduceSpec(r=1, d=0, late_method=method)
+            assert fusion.layer_methods(spec, 12) == [method] * 12
 
     def test_composed_shape_law(self):
         for n0, r, depth in [(197, 8, 12), (16, 3, 10), (9, 4, 6)]:
@@ -402,10 +372,22 @@ class TestSchedules:
 
 class TestSpecJson:
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="r must be >= 0"):
             ReduceSpec(r=-1)
-        with pytest.raises(ValueError):
-            ReduceSpec(r=0, d=0)
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            ReduceSpec(r=0, d=-1)
+        for bad in (2.5, "4", None):
+            with pytest.raises(TypeError):
+                ReduceSpec(r=bad)
+            with pytest.raises(TypeError):
+                ReduceSpec(r=4, d=bad)
+        for r in (0, 4):  # a string is refused before any layer runs
+            with pytest.raises(TypeError, match="late_method"):
+                ReduceSpec(r=r, d=2, late_method="mlerp")
+
+    def test_numpy_integers_accepted(self):
+        spec = ReduceSpec(r=np.int64(4), d=np.int32(0))
+        assert fusion.layer_methods(spec, 3) == [spec.late_method] * 3
 
     def test_built_spec_is_frozen(self):
         spec = ReduceSpec(r=2)

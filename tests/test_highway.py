@@ -200,8 +200,7 @@ class TestHighwayBlocks:
         rng = np.random.default_rng(seed)
         model = tiny_model(depth=depth, seed=seed % 1000)
         x = rng.standard_normal((2, n, 8)).astype(np.float32)
-        spec = ReduceSpec(r=2, merge_string={"pruned": "P"}.get(
-            method.value, "A") * depth, late_method=method)
+        spec = ReduceSpec(r=2, d=0, late_method=method)
         methods = layer_methods(spec, depth)
 
         state = highway.init_state(x)
@@ -236,16 +235,16 @@ class TestHighwayBlocks:
         model = tiny_model(depth=2, seed=5)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 10, 8)).astype(np.float32)
-        spec = ReduceSpec(r=2, merge_string="AA", late_method=MergeMethod.AVERAGE)
+        spec = ReduceSpec(r=2, d=0, late_method=MergeMethod.AVERAGE)
+        methods = layer_methods(spec, 2)
         mbm = MbmConfig(t=0.5, enabled=True)
         state = highway.init_state(x)
         traces_per_block = []
         for l, w in enumerate(model.blocks):
             with recorded_highway_reduces() as traces:
-                state = highway.highway_block(
-                    state, w, 2, MergeMethod.AVERAGE, 2, mbm)
+                state = highway.highway_block(state, w, 2, methods[l], spec.r, mbm)
             traces_per_block.append(traces or None)
-        ref_full, _ = naive_highway(x, model, ["average", "average"],
+        ref_full, _ = naive_highway(x, model, [m.value for m in methods],
                                     traces_per_block, mbm_enabled=True, mbm_t=0.5)
         assert np.allclose(state.x_full, ref_full, rtol=1e-6, atol=1e-6)
 

@@ -17,7 +17,7 @@ import pytest
 from model_fixtures import replace_tfw_config_blob, rewrite_tfw_config
 from oracles import reference_attention, token_decay, uniform_draws
 from tofu import highway, linearity, tensor, vit
-from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, parse_merge_string, unmerge
+from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, layer_methods, unmerge
 from tofu.tensor import FormatError, ShapeError, TruncatedError, layernorm
 from tofu.vit import ReducePlacement, VitConfig
 
@@ -282,15 +282,15 @@ class TestForward:
         _, counts = vit.forward(x, model, ReduceSpec(r=5))
         assert counts == token_decay(17, 5, 8)
 
-    def test_merge_string_dispatch_matches_manual_blocks(self):
+    def test_threshold_dispatch_matches_manual_blocks(self):
         cfg = VitConfig(depth=4, channels=8, heads=2, image=64)
         model = vit.random_model(cfg, 3)
         x = rand_tokens(1, cfg.n_tokens, 8, seed=11)
-        spec = ReduceSpec(r=2, merge_string="PPAA",
-                          late_method=MergeMethod.AVERAGE)
+        spec = ReduceSpec(r=2, d=2, late_method=MergeMethod.AVERAGE)
         got, _ = vit.forward(x, model, spec)
 
-        methods = parse_merge_string("PPAA", MergeMethod.AVERAGE, 4)
+        methods = layer_methods(spec, 4)
+        assert methods == [MergeMethod.PRUNED] * 2 + [MergeMethod.AVERAGE] * 2
         manual = x
         for l, w in enumerate(model.blocks):
             manual, _ = vit.block_forward(
