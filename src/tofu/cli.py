@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import fusion, highway, linearity, vit
-from .tensor import FLOAT, FormatError, read_ttf, rewrite, write_ttf
+from .tensor import FLOAT, FormatError, check_count, read_ttf, rewrite, write_ttf
 
 log = logging.getLogger("tofu")
 
@@ -268,10 +268,9 @@ def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,
 
 def cmd_bench(args) -> int:
     cfg = _arch_config(args)
-    mbm = (highway.MbmConfig() if args.mbm_t is None
-           else highway.MbmConfig(t=args.mbm_t, enabled=True))
     report = run_bench(cfg, args.methods, args.r, args.batch, args.repeat,
-                       args.warmup, args.seed, args.mode, mbm)
+                       args.warmup, args.seed, args.mode,
+                       args.mbm or highway.MbmConfig())
     if args.out:
         _write_json(args.out, report)
     for row in report["rows"]:
@@ -302,6 +301,28 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _count(least: int, most: int | None = None):
+    """The argparse type of a count flag: check_count's rule, and at most
+    most if given, checked as the flag is parsed."""
+    def count(text: str) -> int:
+        try:
+            value = check_count(int(text), "", least)
+        except ValueError as exc:  # the reason, without check_count's name
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
+        return value
+    return count
+
+
+def _mbm_threshold(text: str) -> highway.MbmConfig:
+    """The --mbm-t type: masking on at this threshold, under MbmConfig's rule."""
+    try:
+        return highway.MbmConfig(t=float(text), enabled=True)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _method_list(text: str) -> list[str]:
     """The --methods comma list: at least one known method, blanks skipped."""
     methods = [m.strip() for m in text.split(",") if m.strip()]
@@ -318,9 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tofu", allow_abbrev=False,
         description="Token reduction toolkit: reduce, profile, count, benchmark.")
-    parser.add_argument("--threads", type=int, default=1,
+    # OpenBLAS would take a count below 1 as "use every core", and the count
+    # goes to C as an int, which ctypes would wrap above 2**31 - 1
+    parser.add_argument("--threads", type=_count(1, 2**31 - 1), default=1,
                         help="BLAS thread cap (default 1, reproducible)")
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
+    parser.add_argument("--seed", type=_count(0), default=0, help="global RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
     # the model shape, shared by every command that builds a model from a preset
     arch = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
@@ -332,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply one reduce to a token dump")
     p.add_argument("--input", required=True, help="TTF1 token tensor")
     p.add_argument("--metric", help="TTF1 similarity metric (default: input)")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_count(0), required=True)
     p.add_argument("--method", choices=_METHOD_CHOICES, required=True)
     p.add_argument("--out", required=True, help="output TTF1 path")
     p.add_argument("--trace", help="write the reduce trace as JSON")
@@ -342,14 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-layer functional linearity profile")
     p.add_argument("--model", required=True, help="TFW1 weights")
     p.add_argument("--tokens", required=True, help="TTF1 token tensor")
-    p.add_argument("--steps", type=int, default=21)
-    p.add_argument("--r", type=int, default=5, help="pairs per sequence")
+    p.add_argument("--steps", type=_count(3), default=21)
+    p.add_argument("--r", type=_count(0), default=5, help="pairs per sequence")
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_fl)
 
     p = sub.add_parser("flops", allow_abbrev=False, parents=[arch],
                        help="analytical FLOP report")
-    p.add_argument("--r", type=int, default=0)
+    p.add_argument("--r", type=_count(0), default=0)
     p.add_argument("--placement", choices=[pl.value for pl in vit.ReducePlacement],
                    default=vit.ReducePlacement.BEFORE_MLP.value)
     p.add_argument("--out", help="write report JSON")
@@ -357,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", allow_abbrev=False, parents=[arch],
                        help="wall-clock comparison of merge methods")
-    p.add_argument("--r", type=int, default=16)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--repeat", type=int, default=5)
-    p.add_argument("--warmup", type=int, default=1)
+    p.add_argument("--r", type=_count(0), default=16)
+    p.add_argument("--batch", type=_count(1), default=8)
+    p.add_argument("--repeat", type=_count(3), default=5)
+    p.add_argument("--warmup", type=_count(1), default=1)
     p.add_argument("--methods", type=_method_list, default="full,pruned,average,mlerp",
                    help="comma list of full|pruned|average|mlerp")
     p.add_argument("--mode", choices=["normal", "highway"], default="normal")
-    p.add_argument("--mbm-t", type=float,
+    p.add_argument("--mbm-t", dest="mbm", type=_mbm_threshold, metavar="T",
                    help="mask distributed residuals at or above this magnitude "
                         "(highway mode; default: no masking)")
     p.add_argument("--out", help="write report JSON")
@@ -374,39 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write synthetic weights/tokens fixtures")
     p.add_argument("--out-weights", required=True, help="TFW1 output path")
     p.add_argument("--out-tokens", help="TTF1 output path")
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--classes", type=int, default=0,
+    p.add_argument("--batch", type=_count(1), default=1)
+    p.add_argument("--classes", type=_count(0), default=0,
                    help="attach a classification head with this many classes")
     p.set_defaults(func=cmd_gen)
     return parser
 
 
-# the least value of each count or seed flag, on the commands that have it;
-# OpenBLAS would take --threads 0 as "use every core"
-_FLAG_MINIMUMS = {"threads": 1, "batch": 1, "steps": 3, "repeat": 3, "warmup": 1,
-                  "seed": 0, "classes": 0}
-
-
-def _validate(parser: argparse.ArgumentParser, args) -> None:
-    for flag, least in _FLAG_MINIMUMS.items():
-        if getattr(args, flag, least) < least:
-            parser.error(f"--{flag} must be at least {least}")
-    # the thread count goes to C as an int, and ctypes would wrap a larger one
-    if args.threads > 2**31 - 1:
-        parser.error(f"--threads must be at most {2**31 - 1}")
-    if args.command in ("reduce", "fl", "flops", "bench") and args.r < 0:
-        parser.error("--r must be non-negative")
-    if args.command == "bench" and args.mbm_t is not None:
-        if not args.mbm_t >= 0:
-            parser.error("--mbm-t must be a non-negative number")
-        if args.mode != "highway":
-            parser.error("--mbm-t needs --mode highway")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    if getattr(args, "mbm", None) is not None and args.mode != "highway":
+        parser.error("--mbm-t needs --mode highway")
     _setup_logging()
     # default of 1 keeps timings and reductions reproducible
     try:

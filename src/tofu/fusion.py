@@ -22,14 +22,13 @@ apply the spec's late method, so d = 0 fuses with it in every layer.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .matching import MatchResult, bipartite_soft_match, flat_index
-from .tensor import FLOAT
+from .tensor import FLOAT, check_count
 
 MLERP_DEGENERATE_EPS = 1e-12
 
@@ -45,8 +44,9 @@ class ReduceSpec:
     """Per-layer reduction policy: drop r tokens in every layer, pruning below
     layer d and fusing with late_method from d on (d = 0: in every layer).
 
-    r and d are integers >= 0 (numpy ints pass) and late_method a
-    MergeMethod; anything else raises TypeError or ValueError when built.
+    r and d are integers >= 0 (numpy ints pass, bools do not) and
+    late_method a MergeMethod; anything else raises TypeError or ValueError
+    when built.
     """
 
     r: int = 0
@@ -54,10 +54,8 @@ class ReduceSpec:
     late_method: MergeMethod = MergeMethod.MLERP
 
     def __post_init__(self):
-        for name in ("r", "d"):
-            value = operator.index(getattr(self, name))
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        check_count(self.r, "r")
+        check_count(self.d, "d")
         if not isinstance(self.late_method, MergeMethod):
             raise TypeError(
                 f"late_method must be a MergeMethod, got {self.late_method!r}")

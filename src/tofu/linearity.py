@@ -71,8 +71,7 @@ def functional_linearity(f: Callable[[np.ndarray], np.ndarray], x1: np.ndarray,
     (coincident endpoints, constant map) has no meaningful ratio and is
     reported as None rather than NaN.
     """
-    if n_steps < 3:
-        raise ValueError(f"n_steps must be >= 3, got {n_steps}")
+    tensor.check_count(n_steps, "n_steps", least=3)
     y = np.asarray(f(interpolate(x1, x2, np.linspace(0.0, 1.0, n_steps))),
                    dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != n_steps:
@@ -109,10 +108,8 @@ def profile_model(model, tokens: np.ndarray, n_steps: int,
     pair_r < 0 raise ValueError before any work, and tokens that are not a
     (B >= 1, N, C) batch raise ShapeError.
     """
-    if n_steps < 3:
-        raise ValueError(f"n_steps must be >= 3, got {n_steps}")
-    if pair_r < 0:
-        raise ValueError(f"pair_r must be >= 0, got {pair_r}")
+    tensor.check_count(n_steps, "n_steps", least=3)
+    tensor.check_count(pair_r, "pair_r")
     x = vit.check_batch(tokens, "profile_model")
     stats = []
     for l, w in enumerate(model.blocks):

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import check_count
+
 
 # items per similarity block of a (B, N, C) batch, so that a block's float64
 # metric copy stays cache-sized: 1.6 MB at the tools-offline shape
@@ -90,8 +92,7 @@ def bipartite_soft_match(metric: np.ndarray, r: int) -> MatchResult:
     than |SRC| is clamped (flagged on the result, never an error). A batch
     is matched MATCH_BLOCK_ITEMS items at a time.
     """
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
+    r = check_count(r, "r")
     m = np.asarray(metric)
     _check_metric(m)
     batch = m[None] if m.ndim == 2 else m

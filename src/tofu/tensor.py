@@ -46,6 +46,17 @@ class TruncatedError(FormatError):
         self.offset = offset
 
 
+def check_count(value, name: str, least: int = 0) -> int:
+    """value as an int under the package's one rule for a count: a bool or
+    other non-integer raises TypeError (numpy integers pass), and a value
+    below least raises ValueError naming name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     # min and max carry a NaN through and show an infinity, without a mask
     # the size of x

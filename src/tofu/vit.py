@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import struct
-import typing
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import tensor
 from .fusion import MergeMethod, ReduceSpec, ReduceTrace, apply_reduce, layer_methods, unmerge
-from .tensor import FLOAT, FormatError, ShapeError, layernorm
+from .tensor import FLOAT, FormatError, ShapeError, check_count, layernorm
 
 TFW_MAGIC = b"\x54\x46\x57\x31"
 
@@ -43,6 +42,11 @@ class ReducePlacement(Enum):
 
 @dataclass(frozen=True)
 class VitConfig:
+    """A model's shape: depth, channels, heads, mlp_ratio and patch are
+    integers >= 1 and image one >= patch (numpy ints pass, bools do not),
+    heads divides channels, and cls_token is a bool; anything else raises
+    TypeError or ValueError when built, and nothing is coerced."""
+
     depth: int
     channels: int
     heads: int
@@ -53,10 +57,10 @@ class VitConfig:
 
     def __post_init__(self):
         for name in ("depth", "channels", "heads", "mlp_ratio", "patch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.image < self.patch:
-            raise ValueError(f"image {self.image} is smaller than patch {self.patch}")
+            check_count(getattr(self, name), name, least=1)
+        check_count(self.image, f"image, with patch {self.patch},", least=self.patch)
+        if not isinstance(self.cls_token, bool):
+            raise TypeError(f"cls_token must be a bool, got {self.cls_token!r}")
         if self.channels % self.heads != 0:
             raise ValueError(
                 f"channels {self.channels} not divisible by heads {self.heads}")
@@ -73,23 +77,6 @@ class VitConfig:
     def hidden(self) -> int:
         return self.channels * self.mlp_ratio
 
-    @staticmethod
-    def from_dict(obj: dict) -> "VitConfig":
-        """The config of a JSON object whose keys are VitConfig's fields and
-        whose values have each field's declared type, else TypeError: nothing
-        is coerced, and an unknown key or a missing required one is refused."""
-        if not isinstance(obj, dict):
-            raise TypeError(f"config must be a JSON object, not {obj!r}")
-        for name, value in obj.items():
-            want = _CONFIG_TYPES.get(name)
-            # bool is an int subclass, so no isinstance
-            if want is not None and type(value) is not want:
-                raise TypeError(f"{name} must be {want.__name__}, not {value!r}")
-        return VitConfig(**obj)  # the TypeError for a missing or unknown key
-
-
-# each field's declared type, which from_dict asks of its JSON value
-_CONFIG_TYPES = typing.get_type_hints(VitConfig)
 
 # reference shapes from the classification experiments
 ARCH_PRESETS = {
@@ -209,10 +196,8 @@ def check_batch(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def _effective_r(n: int, r: int) -> int:
-    if r < 0:
-        raise ValueError(f"reduction count r must be >= 0, got {r}")
     # cannot remove more sources than the odd rows provide
-    return min(r, n // 2)
+    return min(check_count(r, "r"), n // 2)
 
 
 def token_schedule(n0: int, r: int, depth: int,
@@ -480,7 +465,9 @@ def load_weights(path: str) -> VitModel:
         reader.finish()
 
     try:
-        cfg = VitConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
+        # VitConfig's own checks refuse a missing or unknown key and a value
+        # of the wrong JSON type, such as 12.9, "12" or "false"
+        cfg = VitConfig(**json.loads(cfg_blob.decode("utf-8")))
     except (RecursionError, TypeError, ValueError) as exc:  # RecursionError: JSON too deep
         raise WeightShapeError(f"invalid TFW1 config blob: {exc}") from exc
 

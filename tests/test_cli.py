@@ -586,6 +586,46 @@ def test_threads_above_c_int_is_usage_error(n):
     assert run_cli_usage_error("--threads", n, "flops", "--arch", "vit-tiny") == 2
 
 
+_BENCH = ["bench", "--arch", "vit-tiny", "--out", "b.json"]
+_GEN = ["gen", "--arch", "vit-tiny", "--out-weights", "m.tfw", "--out-tokens", "t.ttf"]
+_FL = ["fl", "--model", "m.tfw", "--tokens", "t.ttf", "--out", "fl.json"]
+
+# every count flag: the command around it, its least value and its most, if any
+COUNT_FLAGS = [
+    (["flops", "--arch", "vit-tiny", "--out", "f.json"], "--threads", 1, 2**31 - 1),
+    (_GEN, "--seed", 0, None),
+    (["reduce", "--input", "t.ttf", "--method", "pruned", "--out", "o.ttf"], "--r", 0, None),
+    (_FL, "--r", 0, None),
+    (_FL, "--steps", 3, None),
+    (["flops", "--arch", "vit-tiny", "--out", "f.json"], "--r", 0, None),
+    (_BENCH, "--r", 0, None),
+    (_BENCH, "--batch", 1, None),
+    (_BENCH, "--repeat", 3, None),
+    (_BENCH, "--warmup", 1, None),
+    (_GEN, "--batch", 1, None),
+    (_GEN, "--classes", 0, None),
+]
+
+
+@pytest.mark.parametrize("command,flag,least,most", COUNT_FLAGS,
+                         ids=[f"{c[0]}{f}" for c, f, _, _ in COUNT_FLAGS])
+def test_count_flag_range(command, flag, least, most, tmp_path, monkeypatch, capsys):
+    def argv(value):
+        pair = [flag, str(value)]
+        # --threads and --seed come before the command
+        return pair + command if flag in ("--threads", "--seed") else command + pair
+
+    monkeypatch.chdir(tmp_path)
+    for value in [least - 1] + ([most + 1] if most else []):
+        assert run_cli_usage_error(*argv(value)) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be " in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+    for value in [least] + ([most] if most else []):
+        args = cli.build_parser().parse_args(argv(value))
+        assert getattr(args, flag[2:]) == value
+
+
 def test_threads_flag_warns_when_nothing_can_apply_it(monkeypatch, caplog):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     monkeypatch.setattr(cli, "_openblas_threads", lambda: None)

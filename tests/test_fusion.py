@@ -376,11 +376,13 @@ class TestSpecJson:
             ReduceSpec(r=-1)
         with pytest.raises(ValueError, match="d must be >= 0"):
             ReduceSpec(r=0, d=-1)
-        for bad in (2.5, "4", None):
+        for bad in (2.5, "4", None, True):
             with pytest.raises(TypeError):
                 ReduceSpec(r=bad)
             with pytest.raises(TypeError):
                 ReduceSpec(r=4, d=bad)
+        with pytest.raises(TypeError, match="d must be an integer"):
+            ReduceSpec(r=4, d=False)
         for r in (0, 4):  # a string is refused before any layer runs
             with pytest.raises(TypeError, match="late_method"):
                 ReduceSpec(r=r, d=2, late_method="mlerp")

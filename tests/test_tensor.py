@@ -13,7 +13,64 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tofu import tensor
+from model_fixtures import identity_mlp_model
+from tofu import highway, linearity, tensor, vit
+from tofu.fusion import MergeMethod, ReduceSpec
+from tofu.matching import bipartite_soft_match
+
+
+@pytest.mark.parametrize("value", [0, 7, np.int64(7), np.int32(0), np.uint8(3)])
+def test_check_count_returns_an_int(value):
+    got = tensor.check_count(value, "n")
+    assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.0, "4", None])
+def test_check_count_refuses_a_non_integer(value):
+    with pytest.raises(TypeError, match="n must be an integer"):
+        tensor.check_count(value, "n")
+
+
+@pytest.mark.parametrize("least", [0, 1, 3])
+def test_check_count_refuses_below_least(least):
+    assert tensor.check_count(least, "n_steps", least) == least
+    with pytest.raises(ValueError, match=f"^n_steps must be >= {least}, got {least - 1}$"):
+        tensor.check_count(least - 1, "n_steps", least)
+
+
+_CFG = dict(depth=2, channels=8, heads=2, mlp_ratio=4, patch=16, image=64)
+_X = np.random.default_rng(0).standard_normal((1, 6, 4)).astype(np.float32)
+_MODEL = identity_mlp_model(depth=1)
+
+# every library entry point that takes a count: (field, least, call), where
+# call(v) passes v as that count and a valid value for everything else
+COUNT_ENTRY_POINTS = {
+    "ReduceSpec.r": ("r", 0, lambda v: ReduceSpec(r=v)),
+    "ReduceSpec.d": ("d", 0, lambda v: ReduceSpec(r=4, d=v)),
+    **{f"VitConfig.{f}": (f, 1, lambda v, f=f: vit.VitConfig(**{**_CFG, f: v}))
+       for f in ("depth", "channels", "heads", "mlp_ratio", "patch")},
+    "VitConfig.image": ("image", 16, lambda v: vit.VitConfig(**{**_CFG, "image": v})),
+    "token_schedule.r": ("r", 0, lambda v: vit.token_schedule(197, v, 12)),
+    **{f"block_forward.r.{pl.value}": ("r", 0, lambda v, pl=pl: vit.block_forward(
+        _X, _MODEL.blocks[0], 2, MergeMethod.AVERAGE, v, pl)) for pl in vit.ReducePlacement},
+    "highway_block.r": ("r", 0, lambda v: highway.highway_block(
+        highway.init_state(_X), _MODEL.blocks[0], 2, MergeMethod.AVERAGE, v)),
+    "bipartite_soft_match.r": ("r", 0, lambda v: bipartite_soft_match(_X[0], v)),
+    "functional_linearity.n_steps": ("n_steps", 3, lambda v: linearity.functional_linearity(
+        lambda y: y, _X[0, 0], _X[0, 1], v)),
+    "profile_model.n_steps": ("n_steps", 3, lambda v: linearity.profile_model(_MODEL, _X, v, 1)),
+    "profile_model.pair_r": ("pair_r", 0, lambda v: linearity.profile_model(_MODEL, _X, 21, v)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_every_count_takes_the_one_rule(entry):
+    field, least, call = COUNT_ENTRY_POINTS[entry]
+    for value in (True, 2.5):
+        with pytest.raises(TypeError, match=f"^{field}.* must be an integer"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{field}.* must be >= {least}, got {least - 1}$"):
+        call(least - 1)
 
 
 def test_layernorm_constant_row():
