@@ -143,10 +143,10 @@ def cmd_reduce(args) -> int:
     if squeeze:
         x = x[None]
         metric = metric[None] if metric.ndim == 2 else metric
-    if x.ndim != 3 or not len(x) or metric.shape[:2] != x.shape[:2]:
+    if x.ndim != 3 or not len(x) or x.shape[1] < 2 or metric.shape[:2] != x.shape[:2]:
         raise FormatError(
             f"{args.input}: input {x.shape} and metric {metric.shape} must be "
-            "matching (N, C) or (B >= 1, N, C) tensors")
+            "matching (N >= 2, C) or (B >= 1, N >= 2, C) tensors")
     reduced, trace = fusion.apply_reduce(x, metric, fusion.MergeMethod(args.method), args.r)
     write_ttf(args.out, reduced[0] if squeeze else reduced)
     if args.trace:
@@ -282,7 +282,7 @@ def cmd_bench(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg = _arch_config(args)
-    model = vit.random_model(cfg, args.seed, n_classes=args.classes or None)
+    model = vit.random_model(cfg, args.seed, n_classes=args.classes)
     # drawn before any file is written, so running out of memory leaves none
     tokens = _random_tokens(cfg, args.batch, args.seed) if args.out_tokens else None
     # a failed run removes the outputs it created, and only those

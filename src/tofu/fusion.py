@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .matching import MatchResult, bipartite_soft_match, flat_index
-from .tensor import FLOAT, check_count
+from .tensor import FLOAT, ShapeError, check_count
 
 MLERP_DEGENERATE_EPS = 1e-12
 
@@ -162,18 +162,15 @@ def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
     A (B, N, C) batch reduces to (B, N - r, C) in one call, every item
     bitwise as it reduces alone, with a batched trace: (B, r) match arrays,
     a (B, N) index map and (B,) degenerate counts. metric supplies the
-    similarity features (the leading axes of x, any last axis). Output rows
-    are [unchanged SRC ascending, all DST ascending]; the trace records the
-    full input-to-output index map. r beyond |SRC| clamps with a flag on
-    the underlying match.
+    similarity features (the leading axes of x, any last axis); other shapes,
+    N < 2 or B < 1 raise ShapeError. Output rows are [unchanged SRC ascending,
+    all DST ascending], traced input to output; r beyond |SRC| clamps with a
+    flag on the underlying match.
     """
     x = np.asarray(x, dtype=FLOAT)
-    if x.ndim not in (2, 3) or x.shape[-2] < 2 or x.shape[0] < 1:
-        raise ValueError(
-            f"apply_reduce needs an (N>=2, C) slice or a (B>=1, N>=2, C) batch, got {x.shape}")
     metric = np.asarray(metric)
     if metric.shape[:-1] != x.shape[:-1]:
-        raise ValueError(f"metric {metric.shape} must have the rows of x {x.shape}")
+        raise ShapeError(f"metric {metric.shape} must have the rows of x {x.shape}")
 
     match = bipartite_soft_match(metric, r)
     idx_src, idx_dst = match.idx_src, match.idx_dst
@@ -218,14 +215,14 @@ def unmerge(reduced: np.ndarray, trace: ReduceTrace) -> np.ndarray:
 
     Every input position receives the row its trace entry points at, so
     positions fused together come back as identical copies. An (M, C) slice
-    takes a one-sequence trace and gives (N, C); (B, M, C) rows take the
-    batched trace of their apply_reduce call and give (B, N, C).
+    takes a one-sequence trace and gives (N, C); (B, M, C) rows take their
+    apply_reduce call's batched trace and give (B, N, C). Else ShapeError.
     """
     reduced = np.asarray(reduced, dtype=FLOAT)
     index = trace.output_index_of_input
     n_out = index.shape[-1] - trace.match.idx_src.shape[-1]
     if reduced.shape[:-1] != index.shape[:-1] + (n_out,):
-        raise ValueError(
+        raise ShapeError(
             f"reduced shape {reduced.shape} does not match trace output "
             f"length {n_out} over maps {index.shape}")
     if index.ndim == 1:

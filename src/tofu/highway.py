@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import MergeMethod, ReduceSpec, apply_reduce, layer_methods
-from .tensor import FLOAT, layernorm
+from .tensor import FLOAT, ShapeError, layernorm
 from .vit import BlockWeights, VitModel, attention, check_batch, mlp_map, _effective_r
 
 
@@ -61,9 +61,13 @@ def update_index(index: np.ndarray, maps: np.ndarray) -> np.ndarray:
     index is (B, N) into local rows and maps is (B, n_in), each item's
     input-to-output map of the reduce; every entry is pushed through its
     item's map, so merged local rows collapse onto their destination's row.
+    Other shapes raise ShapeError, entries beyond the maps IndexError.
     """
     index = np.asarray(index, dtype=np.int64)
     maps = np.asarray(maps, dtype=np.int64)
+    if index.ndim != 2 or maps.ndim != 2 or len(index) != len(maps):
+        raise ShapeError(f"update_index needs a (B, N) index and (B, n_in) maps, "
+                         f"got {index.shape} and {maps.shape}")
     if index.size and (index.min() < 0 or index.max() >= maps.shape[1]):
         raise IndexError(f"index entries exceed the maps' {maps.shape[1]} input rows")
     return maps[np.arange(len(maps))[:, None], index]
@@ -72,12 +76,12 @@ def update_index(index: np.ndarray, maps: np.ndarray) -> np.ndarray:
 def distribute(f_local: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Scatter local rows to full length: out[b, i] = f_local[b, index[b, i]].
 
-    Takes a batch: (B, M, C) local rows and a (B, N) int index into them.
+    Takes (B, M, C) local rows and a (B, N) int index into them, else ShapeError.
     """
     f_local = np.asarray(f_local, dtype=FLOAT)
     index = np.asarray(index, dtype=np.int64)
     if f_local.ndim != 3 or index.ndim != 2 or index.shape[0] != f_local.shape[0]:
-        raise ValueError(
+        raise ShapeError(
             f"distribute needs (B, M, C) rows and a (B, N) index, got "
             f"{f_local.shape} and {index.shape}")
     if index.size and (index.min() < 0 or index.max() >= f_local.shape[1]):

@@ -37,26 +37,26 @@ def interpolate(x1: np.ndarray, x2: np.ndarray,
     """Convex combinations (1 - t) * x1 + t * x2, one per entry of t.
 
     A scalar t gives one point shaped like x1; an array t gives t.shape +
-    x1.shape, bitwise equal to the scalar calls, in one broadcast.
+    x1.shape, bitwise equal to the scalar calls. Unequal endpoints: ShapeError.
     """
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.shape != x2.shape:
-        raise ValueError(f"interpolation endpoints differ: {x1.shape} vs {x2.shape}")
+        raise tensor.ShapeError(f"interpolation endpoints differ: {x1.shape} vs {x2.shape}")
     t = np.asarray(t, dtype=np.float64)
     t = t.reshape(t.shape + (1,) * x1.ndim)
     return (1.0 - t) * x1 + t * x2
 
 
 def path_length(y: np.ndarray) -> float:
-    """Length of the polyline through the rows of y, an (n, D) sampled output.
+    """Length of the polyline through the rows of an (n, D) y, else ShapeError.
 
     Sums the n - 1 finite differences ||y[i] - y[i-1]||. Compensated
     summation keeps the result independent of accumulation order.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
-        raise ValueError(f"path_length needs (n, D) rows, got {y.shape}")
+        raise tensor.ShapeError(f"path_length needs (n, D) rows, got {y.shape}")
     return math.fsum(np.linalg.norm(np.diff(y, axis=0), axis=1).tolist())
 
 
@@ -66,16 +66,16 @@ def functional_linearity(f: Callable[[np.ndarray], np.ndarray], x1: np.ndarray,
 
     f maps rows, (..., C) -> (..., D), and is called once, on the n_steps
     evenly spaced points t_i = i / (n_steps - 1) of the segment stacked as
-    (n_steps, C); the chord joins the first and last output rows. Lies in
-    [0, 1] whenever defined. A path shorter than UNDEFINED_PATH_EPS
-    (coincident endpoints, constant map) has no meaningful ratio and is
-    reported as None rather than NaN.
+    (n_steps, C), and must return (n_steps, D) rows, else ShapeError; the
+    chord joins the first and last rows. Lies in [0, 1] whenever defined. A
+    path shorter than UNDEFINED_PATH_EPS (coincident endpoints, constant
+    map) has no meaningful ratio and is reported as None rather than NaN.
     """
     tensor.check_count(n_steps, "n_steps", least=3)
     y = np.asarray(f(interpolate(x1, x2, np.linspace(0.0, 1.0, n_steps))),
                    dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != n_steps:
-        raise ValueError(
+        raise tensor.ShapeError(
             f"f must map the {n_steps} path samples to ({n_steps}, D) rows, "
             f"got {y.shape}")
     path = path_length(y)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import check_count
+from .tensor import ShapeError, check_count
 
 
 # items per similarity block of a (B, N, C) batch, so that a block's float64
@@ -56,15 +56,15 @@ class MatchResult:
 
 def _check_metric(metric: np.ndarray) -> None:
     if metric.ndim not in (2, 3) or metric.shape[-2] < 2 or metric.shape[0] < 1:
-        raise ValueError(
-            f"metric must be (N >= 2, C) or (B >= 1, N >= 2, C) rows, got {metric.shape}")
+        raise ShapeError(
+            f"reduce input must be (N >= 2, C) or (B >= 1, N >= 2, C) rows, got {metric.shape}")
 
 
 def similarity_matrix(metric: np.ndarray) -> np.ndarray:
     """Cosine similarity of every SRC row against every DST row.
 
     metric is an (N >= 2, C) slice indexed by global token position, or a
-    (B, N >= 2, C) batch of them. Zero-norm rows get similarity -1 to every
+    (B >= 1, N >= 2, C) batch, else ShapeError. Zero-norm rows get -1 to every
     partner so degenerate tokens sort last; the masking runs only when such
     a row exists. Returned matrix is float64, shape (N // 2, (N + 1) // 2),
     with the leading B of a batch.
@@ -89,8 +89,8 @@ def bipartite_soft_match(metric: np.ndarray, r: int) -> MatchResult:
 
     Each SRC token contributes one candidate edge: its highest-similarity
     DST partner. The r candidates with the largest scores win. r greater
-    than |SRC| is clamped (flagged on the result, never an error). A batch
-    is matched MATCH_BLOCK_ITEMS items at a time.
+    than |SRC| is clamped (flagged on the result, never an error); metric
+    shapes as in similarity_matrix. A batch is matched MATCH_BLOCK_ITEMS at a time.
     """
     r = check_count(r, "r")
     m = np.asarray(metric)

@@ -133,10 +133,10 @@ def attention(x: np.ndarray, w: BlockWeights, n_heads: int
         raise ShapeError(f"attention expects (B, N, C), got {x.shape}")
     b, n, c = x.shape
     if c % n_heads != 0:
-        raise ShapeError(f"C={c} not divisible by {n_heads} heads")
+        raise ShapeError(f"C={c} of {x.shape} not divisible by {n_heads} heads")
     if w.qkv_weight.shape != (c, 3 * c):
         raise ShapeError(
-            f"qkv weight {w.qkv_weight.shape} incompatible with C={c}")
+            f"qkv weight {w.qkv_weight.shape} incompatible with tokens {x.shape}")
     dh = c // n_heads
 
     qkv = x.reshape(b * n, c) @ w.qkv_weight  # (B*N, 3C)
@@ -367,15 +367,17 @@ def random_model(cfg: VitConfig, seed: int, n_classes: int | None = None
                  ) -> VitModel:
     """Seeded synthetic weights: linear layers uniform within +-1/sqrt(C),
     drawn in file order, norm affines at identity. Same seed, same bits.
+    seed and n_classes are counts (check_count); n_classes 0 or None: no head.
 
     Every entry is np.random.default_rng(seed).uniform(-b, b) cast to
     float32, in the same draw order and with the same bits, but drawn
     through one reused float64 buffer of DRAW_CHUNK doubles instead of a
     float64 temporary the size of each tensor.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed"))
+    n_classes = 0 if n_classes is None else check_count(n_classes, "n_classes")
     bound = 1.0 / np.sqrt(cfg.channels)
-    block, head = _layout(cfg.channels, cfg.hidden, n_classes or 0)
+    block, head = _layout(cfg.channels, cfg.hidden, n_classes)
     buf = np.empty(DRAW_CHUNK)
 
     def init(field: str, shape: tuple) -> np.ndarray:

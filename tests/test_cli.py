@@ -210,6 +210,17 @@ class TestReduce:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape", [(2, 1, 4), (1, 4)])
+    def test_one_token_dump_names_its_file(self, tmp_path, capsys, shape):
+        xp, out = tmp_path / "one.ttf", tmp_path / "o.ttf"
+        write_ttf(str(xp), np.zeros(shape, dtype=np.float32))
+        assert run_cli("reduce", "--input", str(xp), "--r", "1",
+                       "--method", "pruned", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(xp) in err and "N >= 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFl:
     def make_fixture(self, tmp_path):

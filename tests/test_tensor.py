@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import signal
 import stat
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from model_fixtures import identity_mlp_model
-from tofu import highway, linearity, tensor, vit
+from tofu import fusion, highway, linearity, matching, tensor, vit
 from tofu.fusion import MergeMethod, ReduceSpec
 from tofu.matching import bipartite_soft_match
 
@@ -60,6 +61,9 @@ COUNT_ENTRY_POINTS = {
         lambda y: y, _X[0, 0], _X[0, 1], v)),
     "profile_model.n_steps": ("n_steps", 3, lambda v: linearity.profile_model(_MODEL, _X, v, 1)),
     "profile_model.pair_r": ("pair_r", 0, lambda v: linearity.profile_model(_MODEL, _X, 21, v)),
+    "random_model.seed": ("seed", 0, lambda v: vit.random_model(vit.VitConfig(**_CFG), v)),
+    "random_model.n_classes": ("n_classes", 0, lambda v: vit.random_model(
+        vit.VitConfig(**_CFG), 0, n_classes=v)),
 }
 
 
@@ -71,6 +75,54 @@ def test_every_count_takes_the_one_rule(entry):
             call(value)
     with pytest.raises(ValueError, match=f"^{field}.* must be >= {least}, got {least - 1}$"):
         call(least - 1)
+
+
+@pytest.mark.parametrize("n_classes", [None, 0])
+def test_random_model_without_classes_has_no_head(n_classes):
+    assert vit.random_model(vit.VitConfig(**_CFG), 0, n_classes=n_classes).head is None
+
+
+_W = _MODEL.blocks[0]
+_TRACE = fusion.apply_reduce(_X[0], _X[0], MergeMethod.PRUNED, 1)[1]
+# an x that apply_reduce rejects, reduced against itself: wrong ranks, one
+# row, an empty batch
+_BAD_REDUCE_INPUTS = {"0d": (), "1d": (4,), "4d": (1, 2, 6, 4), "one_row": (1, 4),
+                      "one_row_batch": (2, 1, 4), "empty_batch": (0, 6, 4)}
+
+# every shape check in the library: (call, bad), where call() passes one
+# input of shape bad and valid values for everything else
+SHAPE_CHECKS = {
+    **{f"apply_reduce.{name}": (lambda shape=shape: fusion.apply_reduce(
+        np.zeros(shape), np.zeros(shape), MergeMethod.PRUNED, 1), shape)
+       for name, shape in _BAD_REDUCE_INPUTS.items()},
+    "apply_reduce.metric_rows": (
+        lambda: fusion.apply_reduce(_X, _X[0], MergeMethod.PRUNED, 1), (6, 4)),
+    "bipartite_soft_match": (lambda: bipartite_soft_match(np.zeros((2, 1, 3)), 1), (2, 1, 3)),
+    "similarity_matrix": (lambda: matching.similarity_matrix(np.zeros(5)), (5,)),
+    "unmerge": (lambda: fusion.unmerge(_X[0, :4], _TRACE), (4, 4)),
+    "distribute": (lambda: highway.distribute(_X[0], np.zeros((1, 6), int)), (6, 4)),
+    "update_index.rank": (lambda: highway.update_index(
+        np.zeros((2, 5), int), np.zeros(2, int)), (2,)),
+    "update_index.batch": (lambda: highway.update_index(
+        np.zeros((2, 5), int), np.zeros((3, 5), int)), (3, 5)),
+    "interpolate": (lambda: linearity.interpolate(np.zeros(2), np.zeros(3), 0.5), (3,)),
+    "path_length": (lambda: linearity.path_length(np.zeros(5)), (5,)),
+    "functional_linearity": (lambda: linearity.functional_linearity(
+        lambda y: y[:, 0], np.zeros(2), np.ones(2), 5), (5,)),
+    "layernorm": (lambda: tensor.layernorm(_X, np.ones(3), np.zeros(3)), (3,)),
+    "softmax_rows": (lambda: tensor.softmax_rows(np.float32(1)), ()),
+    "attention.rank": (lambda: vit.attention(_X[0], _W, 2), (6, 4)),
+    "attention.heads": (lambda: vit.attention(_X, _W, 3), (1, 6, 4)),
+    "attention.qkv": (lambda: vit.attention(_X[..., :2], _W, 2), (1, 6, 2)),
+    "check_batch": (lambda: vit.forward(_X[0], _MODEL, ReduceSpec(r=1)), (6, 4)),
+}
+
+
+@pytest.mark.parametrize("entry", SHAPE_CHECKS)
+def test_every_shape_check_raises_shape_error(entry):
+    call, bad = SHAPE_CHECKS[entry]
+    with pytest.raises(tensor.ShapeError, match=re.escape(str(bad))):
+        call()
 
 
 def test_layernorm_constant_row():
