@@ -1,9 +1,10 @@
 """Command-line surface: reduce token dumps, profile linearity, count FLOPs,
 benchmark merge methods, and generate synthetic fixtures.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error. All reports are JSON
-(binary only for tensors/weights); TOFU_LOG={error|info|debug} controls
-verbosity.
+Exit codes: 0 success, 1 runtime error, 2 usage error. Tensors and weights
+are binary; the reduce trace and the fl report are JSON, while flops and bench
+print a text table and write JSON only with --out. TOFU_LOG={error|info|debug}
+controls verbosity.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 import numpy as np
 
 from . import fusion, highway, linearity, vit
-from .tensor import FLOAT, FormatError, check_count, read_ttf, rewrite, write_ttf
+from .tensor import FLOAT, FormatError, ShapeError, check_count, read_ttf, rewrite, write_ttf
 
 log = logging.getLogger("tofu")
 
@@ -116,15 +117,15 @@ def _arch_config(args) -> vit.VitConfig:
         patch=cfg.patch if args.patch is None else args.patch)
 
 
-def _trace_dicts(trace: fusion.ReduceTrace) -> list[dict]:
-    """One JSON object per sequence of a batched trace."""
-    m = trace.match
-    ids = range(trace.output_index_of_input.shape[-1])
+def _trace_json(trace: fusion.ReduceTrace) -> dict | list[dict]:
+    """One JSON object per sequence; a one-sequence trace gives its object alone."""
+    m, index = trace.match, trace.output_index_of_input
+    ids = range(index.shape[-1])
     src, dst = list(ids[1::2]), list(ids[0::2])
-    per_item = zip(m.idx_src.tolist(), m.idx_dst.tolist(), m.scores.tolist(),
-                   (trace.mlerp_degenerate_groups > 0).tolist(),
-                   trace.output_index_of_input.tolist())
-    return [{
+    per_item = zip(*(np.atleast_2d(a).tolist() for a in (m.idx_src, m.idx_dst, m.scores)),
+                   np.atleast_1d(trace.mlerp_degenerate_groups > 0).tolist(),
+                   np.atleast_2d(index).tolist())
+    dicts = [{
         "src": src,
         "dst": dst,
         "idx_src": idx_src,
@@ -134,36 +135,33 @@ def _trace_dicts(trace: fusion.ReduceTrace) -> list[dict]:
         "mlerp_degenerate": degenerate,
         "output_index_of_input": out_map,
     } for idx_src, idx_dst, scores, degenerate, out_map in per_item]
+    return dicts[0] if index.ndim == 1 else dicts
 
 
 def cmd_reduce(args) -> int:
     x = read_ttf(args.input)
     metric = read_ttf(args.metric) if args.metric else x
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
-        metric = metric[None] if metric.ndim == 2 else metric
-    if x.ndim != 3 or not len(x) or x.shape[1] < 2 or metric.shape[:2] != x.shape[:2]:
-        raise FormatError(
-            f"{args.input}: input {x.shape} and metric {metric.shape} must be "
-            "matching (N >= 2, C) or (B >= 1, N >= 2, C) tensors")
-    reduced, trace = fusion.apply_reduce(x, metric, fusion.MergeMethod(args.method), args.r)
-    write_ttf(args.out, reduced[0] if squeeze else reduced)
+    try:
+        reduced, trace = fusion.apply_reduce(x, metric, fusion.MergeMethod(args.method), args.r)
+    except ShapeError as exc:
+        dumps = f"{args.input}, {args.metric}" if args.metric else args.input
+        raise FormatError(f"{dumps}: {exc}") from exc
+    write_ttf(args.out, reduced)
     if args.trace:
-        traces = _trace_dicts(trace)
-        _write_json(args.trace, traces[0] if squeeze else traces)
-    log.info("reduced %s tokens -> %s", x.shape[1], reduced.shape[1])
+        _write_json(args.trace, _trace_json(trace))
+    log.info("reduced %s tokens -> %s", x.shape[-2], reduced.shape[-2])
     return 0
 
 
 def cmd_fl(args) -> int:
     model = vit.load_weights(args.model)
     tokens = read_ttf(args.tokens)
-    if tokens.ndim == 2:
+    if tokens.ndim == 2:  # profile_model takes batches
         tokens = tokens[None]
-    if len(tokens) == 0:
-        raise FormatError(f"{args.tokens}: token dump holds no sequences")
-    rows = linearity.profile_model(model, tokens, args.steps, args.r)
+    try:
+        rows = linearity.profile_model(model, tokens, args.steps, args.r)
+    except ShapeError as exc:
+        raise FormatError(f"{args.tokens}: {exc}") from exc
     text = json.dumps([dataclasses.asdict(row) for row in rows],
                       indent=2, sort_keys=True) + "\n"
     if args.out:

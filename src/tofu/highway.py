@@ -96,9 +96,14 @@ def mbm_mask(x_full: np.ndarray, affected: np.ndarray, t: float) -> np.ndarray:
 
     Zero exactly where the position took part in a merge (affected, (B, N))
     and the existing full-path activation magnitude is at or above t; an
-    infinite t yields all ones.
+    infinite t yields all ones. Other shapes raise ShapeError.
     """
-    hit = np.asarray(affected, dtype=bool)[..., None] & (np.abs(x_full) >= t)
+    x_full = np.asarray(x_full)
+    affected = np.asarray(affected, dtype=bool)
+    if x_full.ndim != 3 or affected.shape != x_full.shape[:2]:
+        raise ShapeError(f"mbm_mask needs a (B, N, C) x_full and a (B, N) affected, "
+                         f"got {x_full.shape} and {affected.shape}")
+    hit = affected[..., None] & (np.abs(x_full) >= t)
     return (~hit).astype(FLOAT)
 
 

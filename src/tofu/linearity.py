@@ -61,7 +61,7 @@ def path_length(y: np.ndarray) -> float:
 
 
 def functional_linearity(f: Callable[[np.ndarray], np.ndarray], x1: np.ndarray,
-                         x2: np.ndarray, n_steps: int = 21) -> float | None:
+                         x2: np.ndarray, n_steps: int) -> float | None:
     """Chord length over path length of f between x1 and x2; None if undefined.
 
     f maps rows, (..., C) -> (..., D), and is called once, on the n_steps

@@ -173,9 +173,13 @@ def mlp_map(v: np.ndarray, w: BlockWeights) -> np.ndarray:
 
     All leading axes are flattened into one set of rows, which runs
     fc1 -> bias -> gelu -> fc2 -> bias in blocks of MLP_BLOCK_ROWS rows;
-    up to that many rows are one block.
+    up to that many rows are one block. Rows whose C is not fc1's input
+    width raise ShapeError.
     """
     v = np.asarray(v, dtype=FLOAT)
+    if v.ndim < 1 or v.shape[-1] != w.fc1_weight.shape[0]:
+        raise ShapeError(f"mlp expects (..., {w.fc1_weight.shape[0]}) rows for fc1 "
+                         f"{w.fc1_weight.shape}, got {v.shape}")
     rows = v.reshape(-1, v.shape[-1])
     out = np.empty((rows.shape[0], w.fc2_weight.shape[1]), dtype=FLOAT)
     for start in range(0, rows.shape[0], MLP_BLOCK_ROWS):

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import pytest
 from model_fixtures import identity_mlp_model, rewrite_tfw_config
 from tofu import cli, highway, linearity, vit
 from tofu.fusion import MergeMethod, layer_methods
-from tofu.tensor import read_ttf, write_ttf
+from tofu.tensor import TTF_MAGIC, read_ttf, write_ttf
 
 
 def run_cli(*argv):
@@ -221,6 +222,23 @@ class TestReduce:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("x_shape, metric_shape", [
+        ((8, 4), (1, 8, 4)), ((1, 8, 4), (8, 4)),
+        ((1, 8, 4), (1, 8, 4, 1)), ((1, 8, 4), (1, 6, 4))],
+        ids=["nc_input", "nc_metric", "4d_metric", "fewer_rows"])
+    def test_metric_without_the_inputs_rows_names_its_file(self, tmp_path, capsys,
+                                                           x_shape, metric_shape):
+        xp, kp = tmp_path / "x.ttf", tmp_path / "k.ttf"
+        out, trace = tmp_path / "o.ttf", tmp_path / "t.json"
+        write_ttf(str(xp), np.ones(x_shape, dtype=np.float32))
+        write_ttf(str(kp), np.ones(metric_shape, dtype=np.float32))
+        assert run_cli("reduce", "--input", str(xp), "--metric", str(kp), "--r", "1",
+                       "--method", "pruned", "--out", str(out), "--trace", str(trace)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(kp) in err
+        assert "Traceback" not in err
+        assert not out.exists() and not trace.exists()
+
 
 class TestFl:
     def make_fixture(self, tmp_path):
@@ -298,6 +316,23 @@ class TestFl:
         wpath, _ = self.make_fixture(tmp_path)
         tpath, out = tmp_path / "empty.ttf", tmp_path / "fl.json"
         write_ttf(str(tpath), np.zeros((0, 8, 4), dtype=np.float32))
+        assert run_cli("fl", "--model", wpath, "--tokens", str(tpath),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tpath) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dump", [
+        # a 0-d TTF1 record: ndim byte 0, then one float
+        lambda path: path.write_bytes(TTF_MAGIC + struct.pack("<Bf", 0, 1.0)),
+        # C = 6 tokens for a C = 4 model
+        lambda path: write_ttf(str(path), np.ones((1, 8, 6), dtype=np.float32))],
+        ids=["0d", "other_width"])
+    def test_tokens_the_model_cannot_take_name_their_file(self, tmp_path, capsys, dump):
+        wpath, _ = self.make_fixture(tmp_path)
+        tpath, out = tmp_path / "bad.ttf", tmp_path / "fl.json"
+        dump(tpath)
         assert run_cli("fl", "--model", wpath, "--tokens", str(tpath),
                        "--out", str(out)) == 1
         err = capsys.readouterr().err

@@ -101,6 +101,9 @@ SHAPE_CHECKS = {
     "similarity_matrix": (lambda: matching.similarity_matrix(np.zeros(5)), (5,)),
     "unmerge": (lambda: fusion.unmerge(_X[0, :4], _TRACE), (4, 4)),
     "distribute": (lambda: highway.distribute(_X[0], np.zeros((1, 6), int)), (6, 4)),
+    "mbm_mask.rank": (lambda: highway.mbm_mask(_X[0], np.zeros((1, 6), bool), 1.0), (6, 4)),
+    "mbm_mask.affected": (lambda: highway.mbm_mask(
+        _X, np.zeros((1, 5), bool), 1.0), (1, 5)),
     "update_index.rank": (lambda: highway.update_index(
         np.zeros((2, 5), int), np.zeros(2, int)), (2,)),
     "update_index.batch": (lambda: highway.update_index(
@@ -114,6 +117,8 @@ SHAPE_CHECKS = {
     "attention.rank": (lambda: vit.attention(_X[0], _W, 2), (6, 4)),
     "attention.heads": (lambda: vit.attention(_X, _W, 3), (1, 6, 4)),
     "attention.qkv": (lambda: vit.attention(_X[..., :2], _W, 2), (1, 6, 2)),
+    "mlp_map": (lambda: vit.mlp_map(_X[..., :3], _W), (1, 6, 3)),
+    "mlp_map.0d": (lambda: vit.mlp_map(np.float32(1), _W), ()),
     "check_batch": (lambda: vit.forward(_X[0], _MODEL, ReduceSpec(r=1)), (6, 4)),
 }
 
