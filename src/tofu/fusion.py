@@ -163,14 +163,16 @@ def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
     bitwise as it reduces alone, with a batched trace: (B, r) match arrays,
     a (B, N) index map and (B,) degenerate counts. metric supplies the
     similarity features (the leading axes of x, any last axis); other shapes,
-    N < 2 or B < 1 raise ShapeError. Output rows are [unchanged SRC ascending,
-    all DST ascending], traced input to output; r beyond |SRC| clamps with a
-    flag on the underlying match.
+    N < 2, B < 1 or an x with C = 0 raise ShapeError. Output rows are
+    [unchanged SRC ascending, all DST ascending], traced input to output; r
+    beyond |SRC| clamps with a flag on the underlying match.
     """
     x = np.asarray(x, dtype=FLOAT)
     metric = np.asarray(metric)
     if metric.shape[:-1] != x.shape[:-1]:
         raise ShapeError(f"metric {metric.shape} must have the rows of x {x.shape}")
+    if x.shape[-1:] == (0,):
+        raise ShapeError(f"reduce input must have C >= 1 channels, got {x.shape}")
 
     match = bipartite_soft_match(metric, r)
     idx_src, idx_dst = match.idx_src, match.idx_dst

@@ -4,6 +4,8 @@ import itertools
 import json
 import os
 import pathlib
+import resource
+import shlex
 import struct
 import subprocess
 import sys
@@ -19,6 +21,14 @@ from tofu.tensor import TTF_MAGIC, read_ttf, write_ttf
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def python_m_tofu(*argv, env=None, **kwargs):
+    """Run `python -m tofu argv` in a child process, through __main__."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, **(env or {}))
+    return subprocess.run([sys.executable, "-m", "tofu", *argv], env=env,
+                          capture_output=True, timeout=120, **kwargs)
 
 
 def run_cli_usage_error(*argv):
@@ -86,17 +96,19 @@ class TestGen:
                                    "--out-weights", "m.tfw") == 2
         assert not any(tmp_path.iterdir())
 
-    def test_out_of_memory_is_runtime_error(self, tmp_path, monkeypatch, capsys):
-        # the tokens are drawn before any file is written
-        def no_memory(*args):
-            raise MemoryError("Unable to allocate 1.00 TiB")
-
-        monkeypatch.setattr(cli, "_random_tokens", no_memory)
-        monkeypatch.chdir(tmp_path)
-        assert run_cli("gen", "--arch", "vit-tiny", "--image", "64",
-                       "--out-weights", "m.tfw", "--out-tokens", "t.ttf") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: out of memory") and "Traceback" not in err
+    def test_out_of_memory_is_runtime_error(self, tmp_path):
+        # 10**9 vit-tiny sequences ask numpy for 275 TiB, and the tokens are
+        # drawn before any file is written. The 4 GB cap holds for this child
+        # alone; one BLAS thread keeps OpenBLAS's own buffers far below it
+        cap = (4 * 2**30, resource.getrlimit(resource.RLIMIT_AS)[1])
+        proc = python_m_tofu(
+            "--seed", "0", "gen", "--arch", "vit-tiny", "--batch", "1000000000",
+            "--out-weights", "oom.tfw", "--out-tokens", "oom.ttf", cwd=tmp_path,
+            env={"OPENBLAS_NUM_THREADS": "1"}, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: out of memory")
+        assert "Traceback" not in proc.stderr
         assert not any(tmp_path.iterdir())
 
     def test_failed_tokens_write_removes_the_weights_it_wrote(self, tmp_path, monkeypatch):
@@ -172,6 +184,11 @@ class TestReduce:
                            "--out", str(out), "--trace", str(trace)) == 0
             reduced, traces = read_ttf(str(out)), json.loads(trace.read_text())
             assert reduced.shape == (3, 6, 4) and len(traces) == 3
+            for t in traces:  # sources are the odd rows, destinations the even
+                assert (t["src"], t["dst"]) == (list(range(1, 8, 2)), list(range(0, 8, 2)))
+                assert {i % 2 for i in t["idx_src"]} == {1}
+                assert {i % 2 for i in t["idx_dst"]} == {0}
+                assert len(t["output_index_of_input"]) == 8
             for i in range(3):
                 write_ttf(str(xi), x[i])
                 assert run_cli("reduce", "--input", str(xi), "--r", "2", "--method", method,
@@ -219,6 +236,17 @@ class TestReduce:
                        "--method", "pruned", "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(xp) in err and "N >= 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["pruned", "average", "mlerp"])
+    def test_no_channels_dump_names_its_file(self, tmp_path, capsys, method):
+        xp, out = tmp_path / "x.ttf", tmp_path / "o.ttf"
+        write_ttf(str(xp), np.zeros((2, 8, 0), dtype=np.float32))
+        assert run_cli("reduce", "--input", str(xp), "--r", "1",
+                       "--method", method, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(xp) in err and "(2, 8, 0)" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -292,15 +320,27 @@ class TestFl:
             ["fl", "--model", model, "--tokens", tpath, "--r", "2", "--out", "{out}/fl.json"]
             for model in (deep, wpath, deep)], ["fl.json"])
 
+    def test_readme_experiment_as_written(self, tmp_path, monkeypatch, capsys):
+        # the README's linearity commands, read from it; the report on
+        # stdout is the bytes that --out writes
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        block = readme.read_text().split("# per-layer linearity of a seeded model\n")[1]
+        gen, fl = (shlex.split(line)[1:] for line in block.splitlines()[:2])
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*gen) == 0
+        capsys.readouterr()
+        assert run_cli(*fl) == 0
+        stdout = capsys.readouterr().out
+        assert run_cli(*fl, "--out", "fl.json") == 0
+        assert (tmp_path / "fl.json").read_bytes() == stdout.encode()
+
     def test_out_dev_stdout_into_a_pipe(self, tmp_path):
         # a pipe cannot be cut, and is written and left alone
         wpath, tpath = self.make_fixture(tmp_path)
         out = tmp_path / "fl.json"
         assert run_cli("fl", "--model", wpath, "--tokens", tpath, "--out", str(out)) == 0
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tofu", "fl", "--model", wpath, "--tokens", tpath,
-             "--out", "/dev/stdout"], env=env, capture_output=True, timeout=120)
+        proc = python_m_tofu("fl", "--model", wpath, "--tokens", tpath,
+                             "--out", "/dev/stdout")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == out.read_bytes()
 
@@ -341,12 +381,17 @@ class TestFl:
         assert not out.exists()
 
     def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys):
-        wpath, tpath = self.make_fixture(tmp_path)
-        rewrite_tfw_config(wpath, identity_mlp_model(depth=2).config, dpeth=7)
-        assert run_cli("fl", "--model", wpath, "--tokens", tpath) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid TFW1 config blob")
-        assert "Traceback" not in err
+        # also a value of the wrong JSON type, not coerced, and a depth far beyond
+        # the file's blocks, failing at the first missing one, not after all of them
+        for change, message in [({"dpeth": 7}, "invalid TFW1 config blob"),
+                                ({"cls_token": "false"}, "invalid TFW1 config blob"),
+                                ({"depth": 10**12}, "missing tensor")]:
+            wpath, tpath = self.make_fixture(tmp_path)
+            rewrite_tfw_config(wpath, identity_mlp_model(depth=2).config, **change)
+            assert run_cli("fl", "--model", wpath, "--tokens", tpath) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err, change
+            assert "Traceback" not in err
 
     def test_vit_tiny_seed0_report_bytes_anchor(self, tmp_path, monkeypatch):
         # frozen once from this profiler and writer. Each pair's ratio comes
@@ -442,12 +487,13 @@ def test_batch_below_one_is_usage_error(command, batch, tmp_path, monkeypatch):
 class TestBench:
     def test_smoke_report(self, tmp_path):
         out = tmp_path / "b.json"
+        methods = ["full", "pruned", "average", "mlerp"]
         assert run_cli("bench", "--arch", "vit-tiny", "--image", "64",
                        "--batch", "2", "--repeat", "3", "--r", "4",
-                       "--methods", "full,pruned", "--out", str(out)) == 0
+                       "--methods", ",".join(methods), "--out", str(out)) == 0
         text = out.read_text()
         report = json.loads(text)
-        assert [row["method"] for row in report["rows"]] == ["full", "pruned"]
+        assert [row["method"] for row in report["rows"]] == methods
         for row in report["rows"]:
             assert row["p10_ms"] <= row["median_ms"] <= row["p90_ms"]
             assert row["images_per_s"] > 0
@@ -459,14 +505,20 @@ class TestBench:
         assert cli._dump_json(report) == text  # schema round-trips byte-stable
 
     def test_highway_mode(self, tmp_path):
+        # with masking and without it, where no merged positions are computed;
+        # 8 sequences of (112 / 16)**2 + 1 tokens span several MLP row blocks
+        assert 8 * 50 > vit.MLP_BLOCK_ROWS
         out = tmp_path / "b.json"
-        assert run_cli("bench", "--arch", "vit-tiny", "--image", "64",
-                       "--batch", "1", "--repeat", "3", "--r", "2",
-                       "--methods", "average", "--mode", "highway",
-                       "--mbm-t", "1.5", "--out", str(out)) == 0
-        cfg = json.loads(out.read_text())["config"]
-        assert cfg["mode"] == "highway"
-        assert cfg["mbm"] == {"enabled": True, "t": 1.5}
+        for mbm, expected in [(["--mbm-t", "1.5"], {"enabled": True, "t": 1.5}),
+                              ([], {"enabled": False, "t": 1.0})]:
+            assert run_cli("bench", "--arch", "vit-tiny", "--image", "112",
+                           "--batch", "8", "--repeat", "3", "--r", "4",
+                           "--methods", "full,pruned,mlerp", "--mode", "highway",
+                           *mbm, "--out", str(out)) == 0
+            report = json.loads(out.read_text())
+            assert [row["method"] for row in report["rows"]] == ["full", "pruned", "mlerp"]
+            assert report["config"]["mode"] == "highway"
+            assert report["config"]["mbm"] == expected
 
     @pytest.mark.parametrize("depth", [1, 12, 24])
     def test_method_names_map_to_schedules(self, depth):

@@ -85,9 +85,10 @@ def test_random_model_without_classes_has_no_head(n_classes):
 _W = _MODEL.blocks[0]
 _TRACE = fusion.apply_reduce(_X[0], _X[0], MergeMethod.PRUNED, 1)[1]
 # an x that apply_reduce rejects, reduced against itself: wrong ranks, one
-# row, an empty batch
+# row, an empty batch, no channels
 _BAD_REDUCE_INPUTS = {"0d": (), "1d": (4,), "4d": (1, 2, 6, 4), "one_row": (1, 4),
-                      "one_row_batch": (2, 1, 4), "empty_batch": (0, 6, 4)}
+                      "one_row_batch": (2, 1, 4), "empty_batch": (0, 6, 4),
+                      "no_channels": (8, 0), "no_channels_batch": (2, 8, 0)}
 
 # every shape check in the library: (call, bad), where call() passes one
 # input of shape bad and valid values for everything else
@@ -95,6 +96,10 @@ SHAPE_CHECKS = {
     **{f"apply_reduce.{name}": (lambda shape=shape: fusion.apply_reduce(
         np.zeros(shape), np.zeros(shape), MergeMethod.PRUNED, 1), shape)
        for name, shape in _BAD_REDUCE_INPUTS.items()},
+    # the merges, which pruned skips, would fail inside numpy's reshape
+    **{f"apply_reduce.no_channels.{m.value}": (lambda m=m: fusion.apply_reduce(
+        np.zeros((2, 8, 0)), np.zeros((2, 8, 0)), m, 1), (2, 8, 0))
+       for m in (MergeMethod.AVERAGE, MergeMethod.MLERP)},
     "apply_reduce.metric_rows": (
         lambda: fusion.apply_reduce(_X, _X[0], MergeMethod.PRUNED, 1), (6, 4)),
     "bipartite_soft_match": (lambda: bipartite_soft_match(np.zeros((2, 1, 3)), 1), (2, 1, 3)),
