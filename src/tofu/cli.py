@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import fusion, highway, linearity, vit
-from .tensor import FLOAT, FormatError, ShapeError, check_count, read_ttf, rewrite, write_ttf
+from .tensor import FormatError, ShapeError, check_count, read_ttf, rewrite, write_ttf
 
 log = logging.getLogger("tofu")
 
@@ -39,31 +39,23 @@ def _setup_logging() -> None:
 
 @functools.cache
 def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS mapped into this
-    process, or None. Environment variables cannot do this job: OpenBLAS
-    reads them once, when numpy loads it, which is before main runs."""
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's linalg
+    extension links (its handle's dlsym searches them too), or None. OpenBLAS
+    reads its environment variables once, when numpy loads it, before main."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh
-                    if "openblas" in line.lower() and "/" in line}
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
-    names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-             "openblas_{}_num_threads")
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # such as a mapping of a deleted file
-            continue
-        for name in names:
-            get = getattr(lib, name.format("get"), None)
-            set_ = getattr(lib, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes = []
-                get.restype = ctypes.c_int
-                set_.argtypes = [ctypes.c_int]
-                set_.restype = None
-                return get, set_
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes = []
+            get.restype = ctypes.c_int
+            set_.argtypes = [ctypes.c_int]
+            set_.restype = None
+            return get, set_
     return None
 
 
@@ -71,18 +63,9 @@ def _openblas_threads():
 def _limit_threads(n: int):
     """Cap BLAS at n threads inside the block; the count in effect before
     comes back on exit, so an in-process caller keeps its own setting."""
-    try:
-        import threadpoolctl
-    except ImportError:
-        threadpoolctl = None
-    if threadpoolctl is not None:
-        with threadpoolctl.threadpool_limits(limits=n):
-            yield
-        return
     blas = _openblas_threads()
     if blas is None:
-        log.warning("neither threadpoolctl nor OpenBLAS found; "
-                    "--threads %d not applied", n)
+        log.warning("no OpenBLAS found; --threads %d not applied", n)
         yield
         return
     get_threads, set_threads = blas
@@ -208,7 +191,8 @@ def _bench_spec(method: str, r: int) -> fusion.ReduceSpec:
 def _random_tokens(cfg: vit.VitConfig, batch: int, seed: int) -> np.ndarray:
     """The seeded (batch, n_tokens, channels) input that gen writes and bench times."""
     rng = np.random.default_rng([seed, 1])
-    return rng.standard_normal((batch, cfg.n_tokens, cfg.channels)).astype(FLOAT)
+    return vit.draw_float32((batch, cfg.n_tokens, cfg.channels),
+                            lambda draw, part: np.copyto(part, rng.standard_normal(out=draw)))
 
 
 def run_bench(cfg: vit.VitConfig, methods: list[str], r: int, batch: int,

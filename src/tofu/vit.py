@@ -358,7 +358,7 @@ def _layout(c: int, hid: int, classes: int) -> tuple[tuple, tuple]:
     return block, head
 
 
-# doubles per chunk of random_model's reused draw buffer. Building ViT-B/16
+# doubles per chunk of draw_float32's draw buffer. Building ViT-B/16
 # with a 1000-class head (median of 11 interleaved builds, 2-core Xeon, one
 # BLAS thread) took 678 ms with a float64 temporary per tensor, and through
 # the buffer 655 ms at 4K doubles, 568 at 16K, 513 at 64K, 515 at 256K and
@@ -367,22 +367,37 @@ def _layout(c: int, hid: int, classes: int) -> tuple[tuple, tuple]:
 DRAW_CHUNK = 1 << 16
 
 
+def draw_float32(shape: tuple, fill) -> np.ndarray:
+    """A float32 array of `shape` that fill(draw, part) writes in order, DRAW_CHUNK
+    entries at a time: it draws float64 into draw and rounds that into part. The
+    bits equal one whole-size draw cast to float32, without its float64 temporary."""
+    out = np.empty(shape, dtype=FLOAT)
+    flat = out.reshape(-1)
+    buf = np.empty(min(DRAW_CHUNK, flat.size))
+    for lo in range(0, flat.size, DRAW_CHUNK):
+        part = flat[lo:lo + DRAW_CHUNK]
+        fill(buf[:part.size], part)
+    return out
+
+
 def random_model(cfg: VitConfig, seed: int, n_classes: int | None = None
                  ) -> VitModel:
-    """Seeded synthetic weights: linear layers uniform within +-1/sqrt(C),
-    drawn in file order, norm affines at identity. Same seed, same bits.
+    """Seeded synthetic weights, norm affines at identity. The linear layers
+    are, bit for bit, np.random.default_rng(seed).uniform(-b, b) cast to
+    float32 with b = 1/sqrt(C), drawn in file order through draw_float32.
     seed and n_classes are counts (check_count); n_classes 0 or None: no head.
-
-    Every entry is np.random.default_rng(seed).uniform(-b, b) cast to
-    float32, in the same draw order and with the same bits, but drawn
-    through one reused float64 buffer of DRAW_CHUNK doubles instead of a
-    float64 temporary the size of each tensor.
     """
     rng = np.random.default_rng(check_count(seed, "seed"))
     n_classes = 0 if n_classes is None else check_count(n_classes, "n_classes")
     bound = 1.0 / np.sqrt(cfg.channels)
     block, head = _layout(cfg.channels, cfg.hidden, n_classes)
-    buf = np.empty(DRAW_CHUNK)
+
+    def uniform(draw, part):
+        # uniform(low, high) is low + (high - low) * next_double, each
+        # step rounded in float64, and the float32 cast rounds once more
+        rng.random(out=draw)
+        draw *= 2 * bound
+        np.add(draw, -bound, out=part, casting="same_kind")
 
     def init(field: str, shape: tuple) -> np.ndarray:
         # the norm affines take no draw
@@ -390,17 +405,7 @@ def random_model(cfg: VitConfig, seed: int, n_classes: int | None = None
             return np.ones(shape, dtype=FLOAT)
         if field.endswith("beta"):
             return np.zeros(shape, dtype=FLOAT)
-        out = np.empty(shape, dtype=FLOAT)
-        flat = out.reshape(-1)
-        for lo in range(0, flat.size, DRAW_CHUNK):
-            part = flat[lo:lo + DRAW_CHUNK]
-            draw = buf[:part.size]
-            # uniform(low, high) is low + (high - low) * next_double, each
-            # step rounded in float64, and the float32 cast rounds once more
-            rng.random(out=draw)
-            draw *= 2 * bound
-            np.add(draw, -bound, out=part, casting="same_kind")
-        return out
+        return draw_float32(shape, uniform)
 
     def build(cls, table):
         return cls(**{field: init(field, shape) for _, field, shape in table})

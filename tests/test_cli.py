@@ -9,6 +9,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,8 +103,8 @@ class TestGen:
         assert not any(tmp_path.iterdir())
 
     def test_out_of_memory_is_runtime_error(self, tmp_path):
-        # 10**9 vit-tiny sequences ask numpy for 275 TiB, and the tokens are
-        # drawn before any file is written
+        # 10**9 vit-tiny sequences ask numpy for 138 TiB of float32, and the
+        # tokens are drawn before any file is written
         proc = python_m_tofu(
             "--seed", "0", "gen", "--arch", "vit-tiny", "--batch", "1000000000",
             "--out-weights", "oom.tfw", "--out-tokens", "oom.ttf", cwd=tmp_path,
@@ -112,6 +113,27 @@ class TestGen:
         assert proc.stderr.startswith("error: out of memory")
         assert "Traceback" not in proc.stderr
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("chunk", [7, vit.DRAW_CHUNK])
+    def test_tokens_equal_one_float64_draw_cast_to_float32(self, chunk, monkeypatch):
+        # 3 vit-tiny sequences are 113472 entries, a multiple of neither chunk
+        monkeypatch.setattr(vit, "DRAW_CHUNK", chunk)
+        got = cli._random_tokens(vit.ARCH_PRESETS["vit-tiny"], 3, 5)
+        want = np.random.default_rng([5, 1]).standard_normal((3, 197, 192))
+        assert got.dtype == np.float32 and got.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_token_draw_peak_is_the_output_and_one_chunk(self):
+        # a float64 draw cast afterwards peaks at three times the output
+        cfg = vit.ARCH_PRESETS["vit-tiny"]
+        cli._random_tokens(cfg, 1, 0)  # numpy's one-time setup, outside the count
+        tracemalloc.start()
+        try:
+            tokens = cli._random_tokens(cfg, 8, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few KB for the generator and the views
+        assert peak < tokens.nbytes + 8 * vit.DRAW_CHUNK + (16 << 10)
 
     def test_failed_tokens_write_removes_the_weights_it_wrote(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -637,8 +659,8 @@ def test_log_env_var_accepted(tmp_path, monkeypatch):
     assert run_cli("flops", "--arch", "vit-tiny", "--out", str(out)) == 0
 
 
-# Runs `tofu --threads N flops` and asks the loaded OpenBLAS for its count
-# inside the command and again after main has returned.
+# Runs `tofu --threads N flops ARGS...` and prints its exit code, then the
+# count the loaded OpenBLAS reports inside the command and after main returns.
 _BLAS_THREADS_AROUND_MAIN = """
 import ctypes, sys
 from tofu import cli
@@ -660,26 +682,26 @@ def probe(args):
     inside.append(get())
     return flops(args)
 cli.cmd_flops = probe
-cli.main(["--threads", sys.argv[1], "flops", "--arch", "vit-tiny"])
-print(inside[0], get())
+code = cli.main(["--threads", sys.argv[1], "flops", "--arch", "vit-tiny", *sys.argv[2:]])
+print(code, inside[0], get())
 """
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_threads_flag_sets_openblas_count(n):
     # OpenBLAS starts at the other count, so the flag has to change it, and
-    # main has to put it back
+    # main has to put it back, also when the command fails (an image smaller
+    # than a patch fails inside flops)
     start = 3 - n
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(start),
                PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AROUND_MAIN, str(n)],
-                         env=env, capture_output=True, text=True, timeout=120,
-                         check=True).stdout.split()
-    if out == ["none"]:
-        pytest.skip("no OpenBLAS is mapped into the process")
-    inside, after = map(int, out[-2:])
-    assert inside == n
-    assert after == start
+    for extra, code in (([], 0), (["--image", "8"], 1)):
+        out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AROUND_MAIN, str(n), *extra],
+                             env=env, capture_output=True, text=True, timeout=120,
+                             check=True).stdout.split()
+        if out == ["none"]:
+            pytest.skip("no OpenBLAS is mapped into the process")
+        assert list(map(int, out[-3:])) == [code, n, start], extra
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])
@@ -735,7 +757,6 @@ def test_count_flag_range(command, flag, least, most, tmp_path, monkeypatch, cap
 
 
 def test_threads_flag_warns_when_nothing_can_apply_it(monkeypatch, caplog):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
     with caplog.at_level("WARNING", logger="tofu"), cli._limit_threads(3):
         pass
