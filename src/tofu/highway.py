@@ -31,28 +31,17 @@ class MbmConfig:
             raise ValueError(f"MBM threshold must be >= 0, got {self.t}")
 
 
-@dataclass
-class HighwayState:
-    """Full-length features, the reduced local features, and their linkage.
+def init_state(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x_full, x_local, index) before any block: both paths are x itself.
 
     index[b, i] is the local row that full position i currently resolves to;
-    a position took part in a merge exactly when it shares that row.
+    a position took part in a merge exactly when it shares that row. No block
+    writes either path, so x is not copied. A batch not (B >= 1, N, C) raises
+    ShapeError.
     """
-
-    x_full: np.ndarray   # (B, N, C)
-    x_local: np.ndarray  # (B, M, C)
-    index: np.ndarray    # (B, N) int64 into local rows
-
-
-def init_state(x: np.ndarray) -> HighwayState:
-    """Both paths at the input; a batch not (B >= 1, N, C) raises ShapeError."""
     x = check_batch(x, "highway")
     b, n, _ = x.shape
-    return HighwayState(
-        x_full=x.copy(),
-        x_local=x.copy(),
-        index=np.tile(np.arange(n, dtype=np.int64), (b, 1)),
-    )
+    return x, x, np.tile(np.arange(n, dtype=np.int64), (b, 1))
 
 
 def update_index(index: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -107,20 +96,21 @@ def mbm_mask(x_full: np.ndarray, affected: np.ndarray, t: float) -> np.ndarray:
     return (~hit).astype(FLOAT)
 
 
-def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
-                  method: MergeMethod, r: int, mbm: MbmConfig = MbmConfig()
-                  ) -> HighwayState:
+def highway_block(x_full: np.ndarray, x_local: np.ndarray, index: np.ndarray,
+                  w: BlockWeights, n_heads: int, method: MergeMethod, r: int,
+                  mbm: MbmConfig = MbmConfig()
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block on the local path, residuals distributed to the full path.
 
+    Takes and returns (x_full, x_local, index): (B, N, C) full-length
+    features, (B, M, C) local features and the (B, N) index into local rows.
     The local set shrinks by r (clamped) before the attention; matching runs
     on the raw local features. Attention and MLP outputs are each scattered
     through the composed index and residual-added to both paths.
     """
-    b, n_local, _ = state.x_local.shape
+    b, n_local, _ = x_local.shape
     r_eff = _effective_r(n_local, r)
 
-    x_local = state.x_local
-    index = state.index
     if r_eff > 0:
         items = [apply_reduce(x_local[i], x_local[i], method, r_eff)
                  for i in range(b)]
@@ -129,7 +119,6 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
         index = update_index(index, maps)
     merged = _merged_positions(index, x_local.shape[1]) if mbm.enabled else None
 
-    x_full = state.x_full
     f_attn = attention(
         layernorm(x_local, w.norm1_gamma, w.norm1_beta), w, n_heads)[0]
     x_full = _distribute_add(x_full, f_attn, index, merged, mbm)
@@ -139,9 +128,7 @@ def highway_block(state: HighwayState, w: BlockWeights, n_heads: int,
     f_mlp = mlp_map(layernorm(x_local, w.norm2_gamma, w.norm2_beta), w)
     x_full = _distribute_add(x_full, f_mlp, index, merged, mbm)
     f_mlp += x_local
-    x_local = f_mlp
-
-    return HighwayState(x_full=x_full, x_local=x_local, index=index)
+    return x_full, f_mlp, index
 
 
 def _merged_positions(index: np.ndarray, m: int) -> np.ndarray:
@@ -167,11 +154,12 @@ def highway_forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
     layer. With r = 0 everywhere this is exactly the plain forward pass.
     Tokens that are not a (B >= 1, N, C) batch raise ShapeError.
     """
-    state = init_state(x)
+    x_full, x_local, index = init_state(x)
     cfg = model.config
     methods = layer_methods(spec, cfg.depth)
     counts = []
     for method, w in zip(methods, model.blocks):
-        state = highway_block(state, w, cfg.heads, method, spec.r, mbm)
-        counts.append(state.x_local.shape[1])
-    return state.x_full, counts
+        x_full, x_local, index = highway_block(
+            x_full, x_local, index, w, cfg.heads, method, spec.r, mbm)
+        counts.append(x_local.shape[1])
+    return x_full, counts

@@ -69,7 +69,7 @@ def functional_linearity(f: Callable[[np.ndarray], np.ndarray], x1: np.ndarray,
     (n_steps, C), and must return (n_steps, D) rows, else ShapeError; the
     chord joins the first and last rows. Lies in [0, 1] whenever defined. A
     path shorter than UNDEFINED_PATH_EPS (coincident endpoints, constant
-    map) has no meaningful ratio and is reported as None rather than NaN.
+    map) or not finite (f overflowed) has no meaningful ratio: None, not NaN.
     """
     tensor.check_count(n_steps, "n_steps", least=3)
     y = np.asarray(f(interpolate(x1, x2, np.linspace(0.0, 1.0, n_steps))),
@@ -79,7 +79,7 @@ def functional_linearity(f: Callable[[np.ndarray], np.ndarray], x1: np.ndarray,
             f"f must map the {n_steps} path samples to ({n_steps}, D) rows, "
             f"got {y.shape}")
     path = path_length(y)
-    if path < UNDEFINED_PATH_EPS:
+    if not UNDEFINED_PATH_EPS <= path < math.inf:  # NaN too
         return None
     return float(np.linalg.norm(y[-1] - y[0])) / path
 

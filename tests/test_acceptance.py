@@ -212,14 +212,14 @@ def test_highway_consistency():
             traces_per_block = []
             for l, w in enumerate(model.blocks):
                 with recorded_highway_reduces() as traces:
-                    state = highway.highway_block(state, w, heads, methods[l], spec.r)
+                    state = highway.highway_block(*state, w, heads, methods[l], spec.r)
                 traces_per_block.append(traces or None)
 
             ref_full, ref_local = naive_highway(
                 x, model, [m.value for m in methods], traces_per_block)
-            assert np.allclose(state.x_full, ref_full, rtol=1e-6, atol=1e-6), (
-                method, seed)
-            assert np.allclose(state.x_local, ref_local, rtol=1e-6, atol=1e-6)
+            x_full, x_local, _ = state
+            assert np.allclose(x_full, ref_full, rtol=1e-6, atol=1e-6), (method, seed)
+            assert np.allclose(x_local, ref_local, rtol=1e-6, atol=1e-6)
 
     cfg = vit.VitConfig(depth=3, channels=8, heads=heads, patch=16, image=64)
     model = vit.random_model(cfg, 11)

@@ -316,6 +316,24 @@ class TestFl:
             assert row["count"] > 0
             assert abs(row["mean_fl"] - 1.0) < 1e-5
 
+    def test_overflowing_model_report_is_strict_json(self, tmp_path):
+        # fc1 at 3e38 overflows float32, so every probed path is infinite or
+        # NaN: no pair counts, and the report holds null where NaN would be
+        model = vit.random_model(vit.VitConfig(depth=1, channels=8, heads=2, image=32), 0)
+        model.blocks[0].fc1_weight[...] = 3e38
+        wpath, tpath, out = tmp_path / "m.tfw", tmp_path / "t.ttf", tmp_path / "fl.json"
+        vit.save_weights(str(wpath), model)
+        write_ttf(str(tpath), np.random.default_rng(0).standard_normal((1, 5, 8)).astype(np.float32))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli("fl", "--model", str(wpath), "--tokens", str(tpath),
+                           "--out", str(out)) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} in the fl report")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)
+        assert rows == [{"layer": 0, "mean_fl": None, "std_fl": None, "count": 0}]
+
     def test_too_few_steps_is_usage_error(self, tmp_path):
         wpath, tpath = self.make_fixture(tmp_path)
         assert run_cli_usage_error("fl", "--model", wpath, "--tokens", tpath,

@@ -107,6 +107,20 @@ def test_fl_undefined_for_coincident_pair():
     assert functional_linearity(lambda v: v, x, x.copy(), 21) is None
 
 
+@pytest.mark.parametrize("rows", [slice(10, 11), slice(None)], ids=["one_row", "all_rows"])
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_fl_undefined_for_a_path_that_is_not_finite(value, rows):
+    # an f that overflows gives an infinite or NaN path length, which has no
+    # ratio either
+    def f(v):
+        y = v.copy()
+        y[rows] = value
+        return y
+
+    with np.errstate(invalid="ignore"):
+        assert functional_linearity(f, np.zeros(2), np.ones(2), 21) is None
+
+
 def _tanh_net(seed, dim=4):
     rng = np.random.default_rng(seed)
     a1 = rng.standard_normal((dim, dim))

@@ -55,7 +55,7 @@ COUNT_ENTRY_POINTS = {
     **{f"block_forward.r.{pl.value}": ("r", 0, lambda v, pl=pl: vit.block_forward(
         _X, _MODEL.blocks[0], 2, MergeMethod.AVERAGE, v, pl)) for pl in vit.ReducePlacement},
     "highway_block.r": ("r", 0, lambda v: highway.highway_block(
-        highway.init_state(_X), _MODEL.blocks[0], 2, MergeMethod.AVERAGE, v)),
+        *highway.init_state(_X), _MODEL.blocks[0], 2, MergeMethod.AVERAGE, v)),
     "bipartite_soft_match.r": ("r", 0, lambda v: bipartite_soft_match(_X[0], v)),
     "functional_linearity.n_steps": ("n_steps", 3, lambda v: linearity.functional_linearity(
         lambda y: y, _X[0, 0], _X[0, 1], v)),
