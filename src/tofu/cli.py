@@ -77,6 +77,20 @@ def _limit_threads(n: int):
         set_threads(before)
 
 
+@contextlib.contextmanager
+def _removed_on_failure(*paths):
+    """A block that fails removes the outputs in paths (None skipped) that it
+    created, and only those: an output that was there before stays."""
+    created = [path for path in paths if path and not os.path.lexists(path)]
+    try:
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _dump_json(obj) -> str:
     # compact, so that json uses its C encoder
     return json.dumps(obj, sort_keys=True) + "\n"
@@ -129,9 +143,10 @@ def cmd_reduce(args) -> int:
     except ShapeError as exc:
         dumps = f"{args.input}, {args.metric}" if args.metric else args.input
         raise FormatError(f"{dumps}: {exc}") from exc
-    write_ttf(args.out, reduced)
-    if args.trace:
-        _write_json(args.trace, _trace_json(trace))
+    with _removed_on_failure(args.out, args.trace):
+        write_ttf(args.out, reduced)
+        if args.trace:
+            _write_json(args.trace, _trace_json(trace))
     log.info("reduced %s tokens -> %s", x.shape[-2], reduced.shape[-2])
     return 0
 
@@ -267,18 +282,10 @@ def cmd_gen(args) -> int:
     model = vit.random_model(cfg, args.seed, n_classes=args.classes)
     # drawn before any file is written, so running out of memory leaves none
     tokens = _random_tokens(cfg, args.batch, args.seed) if args.out_tokens else None
-    # a failed run removes the outputs it created, and only those
-    created = [path for path in (args.out_weights, args.out_tokens)
-               if path and not os.path.lexists(path)]
-    try:
+    with _removed_on_failure(args.out_weights, args.out_tokens):
         vit.save_weights(args.out_weights, model)
         if tokens is not None:
             write_ttf(args.out_tokens, tokens)
-    except BaseException:
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
     log.info("wrote %s (depth %d, C %d)", args.out_weights, cfg.depth, cfg.channels)
     return 0
 

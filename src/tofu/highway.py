@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import MergeMethod, ReduceSpec, apply_reduce, layer_methods
-from .tensor import FLOAT, ShapeError, layernorm
+from .tensor import FLOAT, ShapeError, check_finite, layernorm
 from .vit import BlockWeights, VitModel, attention, check_batch, mlp_map, _effective_r
 
 
@@ -152,7 +152,9 @@ def highway_forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
 
     Returns the full-length output and the local token count after each
     layer. With r = 0 everywhere this is exactly the plain forward pass.
-    Tokens that are not a (B >= 1, N, C) batch raise ShapeError.
+    Tokens that are not a (B >= 1, N, C) batch raise ShapeError, and an
+    output that is not finite, as when the weights overflow float32,
+    raises ValueError.
     """
     x_full, x_local, index = init_state(x)
     cfg = model.config
@@ -162,4 +164,4 @@ def highway_forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
         x_full, x_local, index = highway_block(
             x_full, x_local, index, w, cfg.heads, method, spec.r, mbm)
         counts.append(x_local.shape[1])
-    return x_full, counts
+    return check_finite(x_full, "highway_forward output"), counts

@@ -105,8 +105,9 @@ def profile_model(model, tokens: np.ndarray, n_steps: int,
     one batched bipartite matching on that layer's attention keys, each
     sampled at n_steps points. Undefined ratios are dropped from the
     aggregates; a layer with no usable pair reports count 0. n_steps < 3 or
-    pair_r < 0 raise ValueError before any work, and tokens that are not a
-    (B >= 1, N, C) batch raise ShapeError.
+    pair_r < 0 raise ValueError before any work, tokens that are not a
+    (B >= 1, N, C) batch raise ShapeError, and a layer whose output is not
+    finite raises ValueError naming that layer.
     """
     tensor.check_count(n_steps, "n_steps", least=3)
     tensor.check_count(pair_r, "pair_r")
@@ -127,7 +128,6 @@ def profile_model(model, tokens: np.ndarray, n_steps: int,
                     fl = functional_linearity(f, mlp_in[b, s], mlp_in[b, d], n_steps)
                     if fl is not None:
                         values.append(fl)
+        x = tensor.check_finite(x_star + vit.mlp_map(mlp_in, w), f"layer {l} output")
         stats.append(_aggregate(l, values))
-
-        x = x_star + vit.mlp_map(mlp_in, w)
     return stats

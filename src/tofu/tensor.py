@@ -65,15 +65,14 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     return x
 
 
-def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-              eps: float = 1e-6) -> np.ndarray:
+def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Per-token normalization over the channel axis, then affine scale/shift.
 
-    Each row comes out with mean 0 and unit variance (up to eps) before
-    gamma/beta are applied. The row mean and the sum of squares accumulate
-    in float64, the squares themselves are formed in float64 (a float32
-    square overflows for an entry 1.8e19 from its mean), and the centring,
-    scaling and affine run in float32 on one fresh array.
+    Each row comes out with mean 0 and variance v / (v + 1e-6), v the row's
+    own variance, before gamma/beta are applied. The row mean and the sum of
+    squares accumulate in float64, the squares themselves are formed in
+    float64 (a float32 square overflows for an entry 1.8e19 from its mean),
+    and the centring, scaling and affine run in float32 on one fresh array.
     """
     x = np.asarray(x, dtype=FLOAT)
     gamma = np.asarray(gamma, dtype=FLOAT)
@@ -82,8 +81,6 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"layernorm affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
-    if eps <= 0:
-        raise ValueError("layernorm eps must be positive")
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float64)
     mean32 = mean.astype(FLOAT)
     # centred at half scale, so that a row spanning the whole float32 range
@@ -94,7 +91,8 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     # is a few float32 steps of its mean, as for rows at a large offset
     y -= ((mean - mean32) * 0.5).astype(FLOAT)
     quarter_var = np.einsum("...c,...c->...", y, y, dtype=np.float64)[..., None] / c
-    y *= (1.0 / np.sqrt(quarter_var + eps / 4)).astype(FLOAT)
+    # the 1e-6 under the root, quartered as the variance is
+    y *= (1.0 / np.sqrt(quarter_var + 1e-6 / 4)).astype(FLOAT)
     y *= gamma
     y += beta
     return y

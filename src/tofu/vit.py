@@ -31,10 +31,6 @@ from .tensor import FLOAT, FormatError, ShapeError, check_count, layernorm
 TFW_MAGIC = b"\x54\x46\x57\x31"
 
 
-class WeightShapeError(ValueError):
-    """Weight file tensors do not match the declared configuration."""
-
-
 class ReducePlacement(Enum):
     BEFORE_MLP = "before_mlp"
     BEFORE_ATTN = "before_attn"
@@ -273,7 +269,8 @@ def forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
     pooling, linear. A config with cls_token pools row 0, which after a
     reduce holds whichever token ended there, since no class token is
     protected; a config without one mean-pools every row. Tokens that are
-    not a (B >= 1, N, C) batch raise ShapeError.
+    not a (B >= 1, N, C) batch raise ShapeError, and a result that is not
+    finite, as when the weights overflow float32, raises ValueError.
     """
     x = check_batch(x, "forward")
     cfg = model.config
@@ -282,15 +279,15 @@ def forward(x: np.ndarray, model: VitModel, spec: ReduceSpec,
     for method, w in zip(methods, model.blocks):
         x, _ = block_forward(x, w, cfg.heads, method, spec.r, placement)
         counts.append(x.shape[1])
-    if model.head is None:
-        return x, counts
-    h = model.head
-    x = layernorm(x, h.norm_gamma, h.norm_beta)
-    if cfg.cls_token:
-        pooled = x[:, 0, :]
-    else:
-        pooled = x.mean(axis=1, dtype=np.float64).astype(FLOAT)
-    return pooled @ h.weight + h.bias, counts
+    if model.head is not None:
+        h = model.head
+        x = layernorm(x, h.norm_gamma, h.norm_beta)
+        if cfg.cls_token:
+            pooled = x[:, 0, :]
+        else:
+            pooled = x.mean(axis=1, dtype=np.float64).astype(FLOAT)
+        x = pooled @ h.weight + h.bias
+    return tensor.check_finite(x, "forward output"), counts
 
 
 @dataclass(frozen=True)
@@ -447,9 +444,10 @@ def load_weights(path: str) -> VitModel:
     """Read a TFW1 file back into a model.
 
     Per tensor, a u16 name length and the UTF-8 name frame one tensor record,
-    read under tofu.tensor's rules. A name that is not UTF-8 and trailing
-    bytes raise FormatError, tensor/config mismatches WeightShapeError; a
-    config deeper than the file's blocks fails at the first missing tensor.
+    read under tofu.tensor's rules (a non-finite payload raises ValueError).
+    Every other fault raises FormatError: a name that is not UTF-8, trailing
+    bytes, an invalid config blob, a missing, misshaped or unrecognized tensor;
+    a config deeper than the file's blocks fails at the first missing tensor.
     """
     with open(path, "rb") as fh:
         reader = tensor.RecordReader(fh, TFW_MAGIC, "TFW1")
@@ -480,7 +478,7 @@ def load_weights(path: str) -> VitModel:
         # of the wrong JSON type, such as 12.9, "12" or "false"
         cfg = VitConfig(**json.loads(cfg_blob.decode("utf-8")))
     except (RecursionError, TypeError, ValueError) as exc:  # RecursionError: JSON too deep
-        raise WeightShapeError(f"invalid TFW1 config blob: {exc}") from exc
+        raise FormatError(f"invalid TFW1 config blob: {exc}") from exc
 
     # the class count is whatever head.weight holds, so its check rests on C
     hw = tensors.get("head.weight")
@@ -492,15 +490,15 @@ def load_weights(path: str) -> VitModel:
         for name, field, shape in table:
             full = prefix + name
             if full not in tensors:
-                raise WeightShapeError(f"missing tensor {full!r}")
+                raise FormatError(f"missing tensor {full!r}")
             fields[field] = arr = tensors.pop(full)
             if arr.shape != shape:
-                raise WeightShapeError(f"{full!r} has shape {arr.shape}, expected {shape}")
+                raise FormatError(f"{full!r} has shape {arr.shape}, expected {shape}")
         return fields
 
     has_head = any(name in tensors for name, _, _ in head)
     blocks = [BlockWeights(**take(f"blocks.{l}.", block)) for l in range(cfg.depth)]
     head_weights = HeadWeights(**take("", head)) if has_head else None
     if tensors:
-        raise WeightShapeError(f"unrecognized tensors: {sorted(tensors)}")
+        raise FormatError(f"unrecognized tensors: {sorted(tensors)}")
     return VitModel(config=cfg, blocks=blocks, head=head_weights)

@@ -31,6 +31,15 @@ def identity_mlp_model(depth=2, channels=4, heads=2, seed=0):
     return model
 
 
+def overflowing_model(n_classes=0):
+    """A finite model whose block-0 MLP overflows float32 on any input:
+    every fc1 weight is 3e38."""
+    model = vit.random_model(vit.VitConfig(depth=2, channels=8, heads=2, image=32),
+                             0, n_classes=n_classes)
+    model.blocks[0].fc1_weight[...] = 3e38
+    return model
+
+
 def replace_tfw_config_blob(path, config, new: bytes) -> None:
     """Replace the config blob that ends a TFW1 file saved for config by new."""
     path = pathlib.Path(path)

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from model_fixtures import identity_mlp_model, rewrite_tfw_config
+from model_fixtures import identity_mlp_model, overflowing_model, rewrite_tfw_config
 from tofu import cli, highway, linearity, vit
 from tofu.fusion import MergeMethod, layer_methods
 from tofu.tensor import TTF_MAGIC, read_ttf, write_ttf
@@ -186,6 +186,23 @@ class TestReduce:
         assert len(t["idx_src"]) == 1
         assert len(t["output_index_of_input"]) == 10
 
+    def test_failed_trace_write_removes_the_output_it_wrote(self, tmp_path, monkeypatch):
+        _, xp, _ = self.make_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("reduce", "--input", xp, "--r", "2", "--method", "mlerp",
+                       "--out", "out.ttf", "--trace", "nodir/t.json") == 1
+        assert not pathlib.Path("out.ttf").exists()
+
+    def test_failed_run_keeps_the_output_that_was_there(self, tmp_path, monkeypatch):
+        _, xp, _ = self.make_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = ["reduce", "--input", xp, "--r", "2", "--method", "mlerp", "--out"]
+        assert run_cli(*argv, "fresh.ttf") == 0
+        pathlib.Path("out.ttf").write_bytes(b"old tokens")
+        assert run_cli(*argv, "out.ttf", "--trace", "nodir/t.json") == 1
+        # rewritten before the trace failed
+        assert pathlib.Path("out.ttf").read_bytes() == pathlib.Path("fresh.ttf").read_bytes()
+
     def test_r_zero_is_permutation(self, tmp_path):
         x, xp, kp = self.make_inputs(tmp_path)
         out = tmp_path / "o.ttf"
@@ -316,23 +333,20 @@ class TestFl:
             assert row["count"] > 0
             assert abs(row["mean_fl"] - 1.0) < 1e-5
 
-    def test_overflowing_model_report_is_strict_json(self, tmp_path):
-        # fc1 at 3e38 overflows float32, so every probed path is infinite or
-        # NaN: no pair counts, and the report holds null where NaN would be
-        model = vit.random_model(vit.VitConfig(depth=1, channels=8, heads=2, image=32), 0)
-        model.blocks[0].fc1_weight[...] = 3e38
-        wpath, tpath, out = tmp_path / "m.tfw", tmp_path / "t.ttf", tmp_path / "fl.json"
-        vit.save_weights(str(wpath), model)
-        write_ttf(str(tpath), np.random.default_rng(0).standard_normal((1, 5, 8)).astype(np.float32))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli("fl", "--model", str(wpath), "--tokens", str(tpath),
-                           "--out", str(out)) == 0
-
-        def reject(constant):
-            raise ValueError(f"{constant} in the fl report")
-
-        rows = json.loads(out.read_text(), parse_constant=reject)
-        assert rows == [{"layer": 0, "mean_fl": None, "std_fl": None, "count": 0}]
+    def test_overflowing_model_is_runtime_error_naming_its_layer(self, tmp_path):
+        # fc1 at 3e38 overflows float32 in layer 0: the run stops there with
+        # one error line and writes no report, rather than count 0 per layer
+        vit.save_weights(str(tmp_path / "m.tfw"), overflowing_model())
+        write_ttf(str(tmp_path / "t.ttf"),
+                  np.random.default_rng(0).standard_normal((1, 5, 8)).astype(np.float32))
+        proc = python_m_tofu("fl", "--model", "m.tfw", "--tokens", "t.ttf",
+                             "--out", "fl.json", cwd=tmp_path, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: layer 0 output contains non-finite entries"]
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tfw", "t.ttf"]
 
     def test_too_few_steps_is_usage_error(self, tmp_path):
         wpath, tpath = self.make_fixture(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_fixtures import recorded_highway_reduces
+from model_fixtures import overflowing_model, recorded_highway_reduces
 from oracles import naive_highway
 from tofu import highway, vit
 from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, layer_methods
@@ -278,3 +278,13 @@ class TestHighwayBlocks:
         _, counts = highway.highway_forward(
             x, model, ReduceSpec(r=3, late_method=MergeMethod.AVERAGE, d=1))
         assert counts == [9, 6, 3]
+
+    @pytest.mark.parametrize("mbm", [MbmConfig(), MbmConfig(t=1.0, enabled=True)],
+                             ids=["mbm_off", "mbm_on"])
+    def test_overflowing_model_raises_value_error(self, mbm):
+        model = overflowing_model()
+        x = np.random.default_rng(7).standard_normal(
+            (2, model.config.n_tokens, 8)).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="^highway_forward output contains non-finite"):
+            highway.highway_forward(x, model, ReduceSpec(r=1), mbm)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_fixtures import identity_mlp_model
+from model_fixtures import identity_mlp_model, overflowing_model
 from tofu import linearity, vit
 from tofu.linearity import functional_linearity, interpolate, path_length
 
@@ -264,6 +264,15 @@ def test_profile_no_pairs_reports_count_zero():
     rows = linearity.profile_model(model, tokens, n_steps=21, pair_r=0)
     assert rows[0].count == 0
     assert rows[0].mean_fl is None
+
+
+def test_profile_overflowing_model_names_the_layer():
+    # block 0's MLP overflows float32: the profile stops at layer 0 rather
+    # than report count 0 on every layer
+    tokens = np.random.default_rng(0).standard_normal((1, 5, 8)).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^layer 0 output contains non-finite"):
+        linearity.profile_model(overflowing_model(), tokens, n_steps=21, pair_r=2)
 
 
 def test_report_json_shape():

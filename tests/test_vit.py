@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from model_fixtures import replace_tfw_config_blob, rewrite_tfw_config
+from model_fixtures import overflowing_model, replace_tfw_config_blob, rewrite_tfw_config
 from oracles import reference_attention, token_decay, uniform_draws
 from tofu import highway, linearity, tensor, vit
 from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, layer_methods, unmerge
@@ -319,6 +319,15 @@ class TestForward:
         assert mean_logits.shape == (3, 10)
         assert not np.array_equal(logits, mean_logits)
 
+    @pytest.mark.parametrize("n_classes", [0, 3], ids=["tokens", "logits"])
+    @pytest.mark.parametrize("placement", list(ReducePlacement), ids=lambda p: p.value)
+    def test_overflowing_model_raises_value_error(self, placement, n_classes):
+        model = overflowing_model(n_classes)
+        x = rand_tokens(2, model.config.n_tokens, 8, seed=14)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="^forward output contains non-finite"):
+            vit.forward(x, model, ReduceSpec(r=1), placement)
+
 
 # a 2-D or 4-D input, an empty batch, a single vector
 MALFORMED_BATCHES = [(5, 8), (1, 2, 5, 8), (0, 5, 8), (8,)]
@@ -558,7 +567,7 @@ class TestWeightFile:
         rewrite_tfw_config(path, model.config, depth=1_000_000)
         tracemalloc.start()
         try:
-            with pytest.raises(vit.WeightShapeError,
+            with pytest.raises(FormatError,
                                match=r"missing tensor 'blocks\.1\.attn\.qkv\.weight'"):
                 vit.load_weights(str(path))
             peak = tracemalloc.get_traced_memory()[1]
@@ -566,12 +575,12 @@ class TestWeightFile:
             tracemalloc.stop()
         assert peak < 4 << 20
 
-    def test_shape_mismatch_distinct_error(self, tmp_path):
+    def test_shape_mismatch_is_format_error_naming_qkv(self, tmp_path):
         model = tiny_model()
         model.blocks[0].qkv_weight = np.zeros((8, 8), dtype=np.float32)
         path = str(tmp_path / "m.tfw")
         vit.save_weights(path, model)
-        with pytest.raises(vit.WeightShapeError, match="qkv"):
+        with pytest.raises(FormatError, match="qkv"):
             vit.load_weights(path)
 
     def test_missing_tensor_rejected(self, tmp_path):
@@ -579,7 +588,7 @@ class TestWeightFile:
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
         rewrite_tfw_config(path, model.config, depth=3)  # one more block
-        with pytest.raises(vit.WeightShapeError, match="missing"):
+        with pytest.raises(FormatError, match="missing"):
             vit.load_weights(str(path))
 
     def test_unknown_tensor_rejected(self, tmp_path):
@@ -596,7 +605,7 @@ class TestWeightFile:
         cfg_json = json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode()
         body = bytes(blob[: len(blob) - 4 - len(cfg_json)])
         path.write_bytes(body + extra + struct.pack("<I", len(cfg_json)) + cfg_json)
-        with pytest.raises(vit.WeightShapeError, match="rogue"):
+        with pytest.raises(FormatError, match="rogue"):
             vit.load_weights(str(path))
 
     def test_config_blob_of_wrong_type_rejected(self, tmp_path):
@@ -604,7 +613,7 @@ class TestWeightFile:
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
         rewrite_tfw_config(path, model.config, heads=None)
-        with pytest.raises(vit.WeightShapeError, match="config"):
+        with pytest.raises(FormatError, match="config"):
             vit.load_weights(str(path))
 
     def test_infinite_config_value_rejected(self, tmp_path):
@@ -612,7 +621,7 @@ class TestWeightFile:
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
         rewrite_tfw_config(path, model.config, heads=float("inf"))
-        with pytest.raises(vit.WeightShapeError, match="config"):
+        with pytest.raises(FormatError, match="config"):
             vit.load_weights(str(path))
 
     @pytest.mark.parametrize("change", [
@@ -623,7 +632,7 @@ class TestWeightFile:
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
         rewrite_tfw_config(path, model.config, **change)
-        with pytest.raises(vit.WeightShapeError, match="invalid TFW1 config blob"):
+        with pytest.raises(FormatError, match="invalid TFW1 config blob"):
             vit.load_weights(str(path))
 
     @pytest.mark.parametrize("key,value", [("mlp_ratoi", 2), ("dpeth", 7)])
@@ -633,7 +642,7 @@ class TestWeightFile:
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
         rewrite_tfw_config(path, model.config, **{key: value})
-        with pytest.raises(vit.WeightShapeError, match=f"invalid TFW1 config blob: .*{key}"):
+        with pytest.raises(FormatError, match=f"invalid TFW1 config blob: .*{key}"):
             vit.load_weights(str(path))
 
     def test_missing_config_key_rejected(self, tmp_path):
@@ -643,7 +652,7 @@ class TestWeightFile:
         cfg = dataclasses.asdict(model.config)
         del cfg["heads"]
         replace_tfw_config_blob(path, model.config, json.dumps(cfg).encode())
-        with pytest.raises(vit.WeightShapeError, match="invalid TFW1 config blob: .*heads"):
+        with pytest.raises(FormatError, match="invalid TFW1 config blob: .*heads"):
             vit.load_weights(str(path))
 
     @pytest.mark.parametrize("blob", [
@@ -654,7 +663,7 @@ class TestWeightFile:
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
         replace_tfw_config_blob(path, model.config, blob)
-        with pytest.raises(vit.WeightShapeError, match="invalid TFW1 config blob"):
+        with pytest.raises(FormatError, match="invalid TFW1 config blob"):
             vit.load_weights(str(path))
 
     def test_out_of_range_config_rejected(self, tmp_path):
@@ -662,7 +671,7 @@ class TestWeightFile:
         path = tmp_path / "m.tfw"
         vit.save_weights(str(path), model)
         rewrite_tfw_config(path, model.config, heads=0)
-        with pytest.raises(vit.WeightShapeError, match="heads"):
+        with pytest.raises(FormatError, match="heads"):
             vit.load_weights(str(path))
 
     @pytest.mark.parametrize("attr,shape", [
@@ -672,7 +681,7 @@ class TestWeightFile:
         setattr(model.head, attr, np.ones(shape, dtype=np.float32))
         path = str(tmp_path / "m.tfw")
         vit.save_weights(path, model)
-        with pytest.raises(vit.WeightShapeError, match="expected"):
+        with pytest.raises(FormatError, match="expected"):
             vit.load_weights(path)
 
     @pytest.mark.parametrize("dropped", ["norm.gamma", "head.weight", "head.bias"])
@@ -690,7 +699,7 @@ class TestWeightFile:
         (count,) = struct.unpack_from("<I", blob, 4)
         struct.pack_into("<I", blob, 4, count - 1)
         path.write_bytes(bytes(blob[:start] + blob[end:]))
-        with pytest.raises(vit.WeightShapeError, match=f"missing tensor '{dropped}'"):
+        with pytest.raises(FormatError, match=f"missing tensor '{dropped}'"):
             vit.load_weights(str(path))
 
     def test_non_finite_tensor_rejected(self, tmp_path):
