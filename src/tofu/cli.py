@@ -399,9 +399,11 @@ def main(argv=None) -> int:
     if getattr(args, "mbm", None) is not None and args.mode != "highway":
         parser.error("--mbm-t needs --mode highway")
     _setup_logging()
-    # default of 1 keeps timings and reductions reproducible
+    # default of 1 keeps timings and reductions reproducible; every
+    # non-finite result ends in check_finite's ValueError, so numpy's
+    # floating-point warnings would only precede that one error: line
     try:
-        with _limit_threads(args.threads):
+        with _limit_threads(args.threads), np.errstate(all="ignore"):
             return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

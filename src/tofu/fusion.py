@@ -84,9 +84,8 @@ class ReduceTrace:
         return bool(np.any(self.mlerp_degenerate_groups))
 
 
-def merge_pruned(dst_rows: np.ndarray, src_rows: np.ndarray,
-                 idx_dst_local: np.ndarray) -> np.ndarray:
-    """Discard the sources; destination rows pass through bit-identical."""
+def merge_pruned(dst_rows: np.ndarray) -> np.ndarray:
+    """Discard the matched sources; destination rows pass through bit-identical."""
     return dst_rows
 
 
@@ -193,7 +192,7 @@ def apply_reduce(x: np.ndarray, metric: np.ndarray, method: MergeMethod,
 
     degenerate = np.zeros(b, dtype=np.int64)
     if method is MergeMethod.PRUNED:
-        merged = merge_pruned(dst_rows, src_rows, idx_dst_local)
+        merged = merge_pruned(dst_rows)
     elif method is MergeMethod.AVERAGE:
         merged = merge_average(dst_rows, src_rows, idx_dst_local)
     elif method is MergeMethod.MLERP:

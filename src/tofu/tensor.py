@@ -38,14 +38,6 @@ class FormatError(ValueError):
     """A binary file does not conform to its declared format."""
 
 
-class TruncatedError(FormatError):
-    """A binary file ends before its payload does."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte offset {offset})")
-        self.offset = offset
-
-
 def check_count(value, name: str, least: int = 0) -> int:
     """value as an int under the package's one rule for a count: a bool or
     other non-integer raises TypeError (numpy integers pass), and a value
@@ -73,10 +65,13 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     squares accumulate in float64, the squares themselves are formed in
     float64 (a float32 square overflows for an entry 1.8e19 from its mean),
     and the centring, scaling and affine run in float32 on one fresh array.
+    A 0-d or zero-width x, or gamma/beta not (C,), raises ShapeError.
     """
     x = np.asarray(x, dtype=FLOAT)
     gamma = np.asarray(gamma, dtype=FLOAT)
     beta = np.asarray(beta, dtype=FLOAT)
+    if x.shape[-1:] in ((), (0,)):
+        raise ShapeError(f"layernorm expects C >= 1 channels, got {x.shape}")
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
@@ -100,7 +95,7 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of an array of any rank >= 1, stabilized
-    by max subtraction.
+    by max subtraction; a 0-d x or an empty last axis raises ShapeError.
 
     Each row along the last axis is normalised as the rows of a 2-D array
     are, whatever the leading axes. The shift and the exponentials are
@@ -111,8 +106,8 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     -inf, whose exponential is the 0 that float64 gives too.
     """
     x = np.asarray(x, dtype=FLOAT)
-    if x.ndim < 1:
-        raise ShapeError(f"softmax_rows expects at least one axis, got {x.shape}")
+    if x.shape[-1:] in ((), (0,)):
+        raise ShapeError(f"softmax_rows expects a last axis of length >= 1, got {x.shape}")
     with np.errstate(over="ignore"):
         e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
@@ -160,7 +155,8 @@ def write_record(fh, x: np.ndarray) -> None:
 class RecordReader:
     """Reads an open binary file of format fmt front to back, after checking
     its magic. Every read claims its bytes first, so a file that ends before
-    them raises TruncatedError at the file's size."""
+    them raises FormatError naming the file's size as the offset it was cut
+    short at."""
 
     def __init__(self, fh, magic: bytes, fmt: str):
         self.fh, self.fmt = fh, fmt
@@ -173,7 +169,8 @@ class RecordReader:
     def claim(self, nbytes: int, what: str) -> int:
         """Advance past the next nbytes, or raise if the file ends first."""
         if self.offset + nbytes > self.size:
-            raise TruncatedError(f"{self.fmt} {what} cut short", self.size)
+            raise FormatError(
+                f"{self.fmt} {what} cut short (at byte offset {self.size})")
         self.offset += nbytes
         return nbytes
 
@@ -195,7 +192,8 @@ class RecordReader:
         except ValueError as exc:  # more dims than numpy supports
             raise FormatError(f"{self.fmt} {what} shape: {exc}") from exc
         if self.fh.readinto(flat) != flat.nbytes:  # the file shrank since fstat
-            raise TruncatedError(f"{self.fmt} {what} cut short", self.fh.tell())
+            raise FormatError(
+                f"{self.fmt} {what} cut short (at byte offset {self.fh.tell()})")
         return check_finite(x.astype(FLOAT, copy=False), f"{self.fmt} {what}")
 
     def finish(self) -> None:

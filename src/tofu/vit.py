@@ -128,7 +128,7 @@ def attention(x: np.ndarray, w: BlockWeights, n_heads: int
     if x.ndim != 3:
         raise ShapeError(f"attention expects (B, N, C), got {x.shape}")
     b, n, c = x.shape
-    if c % n_heads != 0:
+    if c % check_count(n_heads, "n_heads", least=1) != 0:
         raise ShapeError(f"C={c} of {x.shape} not divisible by {n_heads} heads")
     if w.qkv_weight.shape != (c, 3 * c):
         raise ShapeError(
@@ -188,10 +188,10 @@ def mlp_map(v: np.ndarray, w: BlockWeights) -> np.ndarray:
 
 
 def check_batch(x: np.ndarray, what: str) -> np.ndarray:
-    """x as a float32 (B >= 1, N, C) token batch, else ShapeError."""
+    """x as a float32 (B >= 1, N >= 1, C) token batch, else ShapeError."""
     x = np.asarray(x, dtype=FLOAT)
-    if x.ndim != 3 or x.shape[0] < 1:
-        raise ShapeError(f"{what} expects (B >= 1, N, C) tokens, got {x.shape}")
+    if x.ndim != 3 or 0 in x.shape[:2]:
+        raise ShapeError(f"{what} expects (B >= 1, N >= 1, C) tokens, got {x.shape}")
     return x
 
 
@@ -204,12 +204,12 @@ def token_schedule(n0: int, r: int, depth: int,
                    placement: ReducePlacement = ReducePlacement.BEFORE_MLP
                    ) -> list[tuple[int, int]]:
     """Per-layer (attention tokens, MLP tokens) under clamped linear decay;
-    an unknown placement or r < 0 raises ValueError."""
+    an unknown placement, n0 < 1, or r or depth < 0 raises ValueError."""
     if not isinstance(placement, ReducePlacement):
         raise ValueError(f"unknown placement {placement!r}")
     out = []
-    n = n0
-    for _ in range(depth):
+    n = check_count(n0, "n0", least=1)
+    for _ in range(check_count(depth, "depth")):
         r_eff = _effective_r(n, r)
         if placement is ReducePlacement.BEFORE_MLP:
             out.append((n, n - r_eff))

@@ -271,6 +271,17 @@ class TestReduce:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_merge_is_one_error_line(self, tmp_path):
+        # the mlerp merge of the first pair overflows float32 in its cast
+        x = np.array([[[3e38, 3e38], [3e38, -3e38], [1, 1], [1, -1]]], dtype=np.float32)
+        write_ttf(str(tmp_path / "x.ttf"), x)
+        proc = python_m_tofu("reduce", "--input", "x.ttf", "--r", "1", "--method", "mlerp",
+                             "--out", "o.ttf", cwd=tmp_path, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: TTF1 payload contains non-finite entries\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ttf"]
+
     @pytest.mark.parametrize("shape", [(2, 1, 4), (1, 4)])
     def test_one_token_dump_names_its_file(self, tmp_path, capsys, shape):
         xp, out = tmp_path / "one.ttf", tmp_path / "o.ttf"
@@ -335,7 +346,8 @@ class TestFl:
 
     def test_overflowing_model_is_runtime_error_naming_its_layer(self, tmp_path):
         # fc1 at 3e38 overflows float32 in layer 0: the run stops there with
-        # one error line and writes no report, rather than count 0 per layer
+        # one error line, and no numpy warning before it, and writes no
+        # report, rather than count 0 per layer
         vit.save_weights(str(tmp_path / "m.tfw"), overflowing_model())
         write_ttf(str(tmp_path / "t.ttf"),
                   np.random.default_rng(0).standard_normal((1, 5, 8)).astype(np.float32))
@@ -343,9 +355,7 @@ class TestFl:
                              "--out", "fl.json", cwd=tmp_path, text=True)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert errors == ["error: layer 0 output contains non-finite entries"]
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: layer 0 output contains non-finite entries\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tfw", "t.ttf"]
 
     def test_too_few_steps_is_usage_error(self, tmp_path):
@@ -425,8 +435,10 @@ class TestFl:
         # a 0-d TTF1 record: ndim byte 0, then one float
         lambda path: path.write_bytes(TTF_MAGIC + struct.pack("<Bf", 0, 1.0)),
         # C = 6 tokens for a C = 4 model
-        lambda path: write_ttf(str(path), np.ones((1, 8, 6), dtype=np.float32))],
-        ids=["0d", "other_width"])
+        lambda path: write_ttf(str(path), np.ones((1, 8, 6), dtype=np.float32)),
+        # no tokens in either sequence
+        lambda path: write_ttf(str(path), np.ones((2, 0, 4), dtype=np.float32))],
+        ids=["0d", "other_width", "no_tokens"])
     def test_tokens_the_model_cannot_take_name_their_file(self, tmp_path, capsys, dump):
         wpath, _ = self.make_fixture(tmp_path)
         tpath, out = tmp_path / "bad.ttf", tmp_path / "fl.json"

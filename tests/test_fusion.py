@@ -166,7 +166,7 @@ class TestBatchAxis:
 class TestMergeKernels:
     def test_pruned_passthrough(self):
         dst = np.random.default_rng(3).standard_normal((4, 5)).astype(np.float32)
-        out = fusion.merge_pruned(dst, dst[:2], np.array([0, 1]))
+        out = fusion.merge_pruned(dst)
         assert np.array_equal(out, dst)
 
     def test_pruned_output_subset_of_input(self):

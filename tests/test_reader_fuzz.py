@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tofu import tensor, vit
-from tofu.tensor import FormatError, TruncatedError
+from tofu.tensor import FormatError
 
 HEADER_BYTES = 48
 
@@ -90,11 +90,10 @@ def test_every_cut_is_a_truncation_at_its_length(tmp_path, blob_of, read):
         if cut < 4:
             with pytest.raises(FormatError, match="magic") as info:
                 read(str(path))
-            assert not isinstance(info.value, TruncatedError)
+            assert "cut short" not in str(info.value)
         else:
-            with pytest.raises(TruncatedError) as info:
+            with pytest.raises(FormatError, match=rf"cut short \(at byte offset {cut}\)$"):
                 read(str(path))
-            assert info.value.offset == cut
 
 
 def test_non_utf8_tensor_name_is_a_format_error(tmp_path):

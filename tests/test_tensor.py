@@ -52,6 +52,9 @@ COUNT_ENTRY_POINTS = {
        for f in ("depth", "channels", "heads", "mlp_ratio", "patch")},
     "VitConfig.image": ("image", 16, lambda v: vit.VitConfig(**{**_CFG, "image": v})),
     "token_schedule.r": ("r", 0, lambda v: vit.token_schedule(197, v, 12)),
+    "token_schedule.n0": ("n0", 1, lambda v: vit.token_schedule(v, 4, 3)),
+    "token_schedule.depth": ("depth", 0, lambda v: vit.token_schedule(197, 4, v)),
+    "attention.n_heads": ("n_heads", 1, lambda v: vit.attention(_X, _MODEL.blocks[0], v)),
     **{f"block_forward.r.{pl.value}": ("r", 0, lambda v, pl=pl: vit.block_forward(
         _X, _MODEL.blocks[0], 2, MergeMethod.AVERAGE, v, pl)) for pl in vit.ReducePlacement},
     "highway_block.r": ("r", 0, lambda v: highway.highway_block(
@@ -117,13 +120,19 @@ SHAPE_CHECKS = {
     "functional_linearity": (lambda: linearity.functional_linearity(
         lambda y: y[:, 0], np.zeros(2), np.ones(2), 5), (5,)),
     "layernorm": (lambda: tensor.layernorm(_X, np.ones(3), np.zeros(3)), (3,)),
+    "layernorm.0d": (lambda: tensor.layernorm(np.float32(1), np.ones(1), np.zeros(1)), ()),
+    "layernorm.no_channels": (lambda: tensor.layernorm(
+        np.zeros((2, 0)), np.ones(0), np.zeros(0)), (2, 0)),
     "softmax_rows": (lambda: tensor.softmax_rows(np.float32(1)), ()),
+    "softmax_rows.no_columns": (lambda: tensor.softmax_rows(np.zeros((2, 0))), (2, 0)),
     "attention.rank": (lambda: vit.attention(_X[0], _W, 2), (6, 4)),
     "attention.heads": (lambda: vit.attention(_X, _W, 3), (1, 6, 4)),
     "attention.qkv": (lambda: vit.attention(_X[..., :2], _W, 2), (1, 6, 2)),
     "mlp_map": (lambda: vit.mlp_map(_X[..., :3], _W), (1, 6, 3)),
     "mlp_map.0d": (lambda: vit.mlp_map(np.float32(1), _W), ()),
     "check_batch": (lambda: vit.forward(_X[0], _MODEL, ReduceSpec(r=1)), (6, 4)),
+    "check_batch.no_tokens": (lambda: vit.forward(
+        np.zeros((2, 0, 4)), _MODEL, ReduceSpec(r=1)), (2, 0, 4)),
 }
 
 
@@ -363,7 +372,8 @@ class TestTtfFormat:
         tensor.write_ttf(str(path), np.zeros((2, 2), dtype=np.float32))
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
-        with pytest.raises(tensor.TruncatedError, match=str(len(blob) - 3)):
+        with pytest.raises(tensor.FormatError,
+                           match=rf"cut short \(at byte offset {len(blob) - 3}\)$"):
             tensor.read_ttf(str(path))
 
     def test_non_finite_rejected(self, tmp_path):

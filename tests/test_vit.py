@@ -18,7 +18,7 @@ from model_fixtures import overflowing_model, replace_tfw_config_blob, rewrite_t
 from oracles import reference_attention, token_decay, uniform_draws
 from tofu import highway, linearity, tensor, vit
 from tofu.fusion import MergeMethod, ReduceSpec, apply_reduce, layer_methods, unmerge
-from tofu.tensor import FormatError, ShapeError, TruncatedError, layernorm
+from tofu.tensor import FormatError, ShapeError, layernorm
 from tofu.vit import ReducePlacement, VitConfig
 
 TINY = VitConfig(depth=2, channels=8, heads=2, patch=16, image=64)
@@ -328,9 +328,21 @@ class TestForward:
                 pytest.raises(ValueError, match="^forward output contains non-finite"):
             vit.forward(x, model, ReduceSpec(r=1), placement)
 
+    def test_readme_library_sketch_as_written(self, capsys):
+        # the README's python block, read from it and run unchanged; its
+        # counts start as its comment says
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        code = readme.read_text().split("## Library sketch\n\n```python\n")[1]
+        code = code.split("```")[0]
+        first, second = re.search(r"# counts: (\d+), (\d+), \.\.\.", code).groups()
+        scope = {}
+        exec(compile(code, "README.md", "exec"), scope)
+        assert scope["counts"][:2] == [int(first), int(second)] == [181, 165]
+        assert "GFLOPs" in capsys.readouterr().out
 
-# a 2-D or 4-D input, an empty batch, a single vector
-MALFORMED_BATCHES = [(5, 8), (1, 2, 5, 8), (0, 5, 8), (8,)]
+
+# a 2-D or 4-D input, an empty batch, sequences of no tokens, a single vector
+MALFORMED_BATCHES = [(5, 8), (1, 2, 5, 8), (0, 5, 8), (2, 0, 8), (8,)]
 
 
 class TestMalformedBatch:
@@ -508,7 +520,8 @@ class TestWeightFile:
         vit.save_weights(str(path), tiny_model())
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(TruncatedError, match=str(len(blob) // 2)):
+        with pytest.raises(FormatError,
+                           match=rf"cut short \(at byte offset {len(blob) // 2}\)$"):
             vit.load_weights(str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
